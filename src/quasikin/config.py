@@ -29,6 +29,22 @@ AUTO_V_SIGMAS = 7.0
 U0_KINDS = ("zero", "constant", "taylor_green", "shear", "random_bandlimited")
 SWEEP_KINDS = ("quasineutral", "mode_drift")
 
+# Every key the parser reads, per section; anything else is rejected.
+SECTION_KEYS = {
+    "run": (
+        "name", "dimension", "n_x", "n_v", "epsilon", "dt", "t_end",
+        "field_mode", "v_max", "cfl", "a_max", "snapshot_stride",
+        "euler_reference",
+    ),
+    "collision": ("kind", "tau", "gamma", "n_sigma"),
+    "initial": (
+        "u0", "u0_amplitude", "profile", "delta", "delta_coeff",
+        "delta_exponent", "theta", "theta_coeff", "theta_exponent", "seed",
+        "max_mode",
+    ),
+    "sweep": ("kind", "epsilons"),
+}
+
 
 class ConfigError(ValueError):
     """A scenario file is missing, malformed, or inconsistent."""
@@ -177,8 +193,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not parser.has_section("run"):
         raise ConfigError(f"{path}: missing [run] section")
 
-    known = {"run", "collision", "initial", "sweep"}
-    unknown = set(parser.sections()) - known
+    unknown = set(parser.sections()) - set(SECTION_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
 
@@ -257,6 +272,16 @@ def load_config(path: str | Path) -> RunConfig:
         sweep_kind=sweep_kind,
         source_sha256=hashlib.sha256(data).hexdigest(),
     )
+    # Checked after the required keys, so a misspelt required key is
+    # reported as missing.
+    for section in parser.sections():
+        allowed = SECTION_KEYS[section]
+        unknown = sorted(set(parser.options(section)) - set(allowed))
+        if unknown:
+            raise ConfigError(
+                f"{path}: unknown keys in [{section}]: {', '.join(unknown)} "
+                f"(allowed: {', '.join(allowed)})"
+            )
     # Fail fast on inconsistencies instead of at run time.
     config.make_params()
     for eps in config.sweep_epsilons:

@@ -6,15 +6,20 @@ cell-centered nodes and uniform midpoint weights ``h_v^d``.  Differential
 operators are pseudo-spectral: exact for band-limited data, with the Nyquist
 mode zeroed on odd derivatives.
 
-All reductions go through numpy, whose pairwise summation has a fixed
-deterministic order, so every quantity in this package is bit-reproducible
-from run to run regardless of thread count.
+Reductions go through numpy, whose pairwise summation has a fixed order;
+the velocity kick applies its spline operator as a BLAS matrix product.
+What is promised: runs are bit-reproducible for the same build, input and
+thread count.  What is checked beyond that: tests/test_thread_determinism.py
+shows byte-identical diagnostics at 1 and 2 threads on a 2-d scenario with
+OpenBLAS 0.3.31.  Other BLAS builds may split their sums differently across
+threads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +97,21 @@ class TorusGrid:
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
     def wavenumbers_int(self) -> np.ndarray:
-        """Integer wavenumbers in FFT layout (0, 1, ..., -n/2, ..., -1)."""
-        return np.rint(np.fft.fftfreq(self.n_x) * self.n_x)
+        """Integer wavenumbers in FFT layout (0, 1, ..., -n/2, ..., -1).
+
+        Cached per n_x and read-only; callers that need to modify it copy.
+        """
+        return _wavenumbers_int(self.n_x)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=32)
+def _wavenumbers_int(n_x: int) -> np.ndarray:
+    return _read_only(np.rint(np.fft.fftfreq(n_x) * n_x))
 
 
 @dataclass(frozen=True)
@@ -275,22 +293,30 @@ def _check_spatial(grid: TorusGrid, field: np.ndarray) -> None:
         raise GridMismatchError(f"field shape {field.shape} != grid shape {grid.shape}")
 
 
+@lru_cache(maxsize=32)
 def _ik_factor(grid: TorusGrid, axis: int) -> np.ndarray:
-    """i * 2 pi k along ``axis`` with the Nyquist mode zeroed, broadcastable."""
+    """i * 2 pi k along ``axis`` with the Nyquist mode zeroed, broadcastable.
+
+    Cached per (dimension, n_x, axis) and read-only.
+    """
     k = grid.wavenumbers_int()
     ik = 1j * TWO_PI * k
     ik[grid.n_x // 2] = 0.0  # Nyquist has no well-defined sign for odd derivatives
     shape = [1] * grid.dimension
     shape[axis] = grid.n_x
-    return ik.reshape(shape)
+    return _read_only(ik.reshape(shape))
 
 
+@lru_cache(maxsize=32)
 def _k2_factor(grid: TorusGrid) -> np.ndarray:
-    """|2 pi k|^2 on the full FFT mesh (Nyquist included)."""
+    """|2 pi k|^2 on the full FFT mesh (Nyquist included).
+
+    Cached per (dimension, n_x) and read-only.
+    """
     k = TWO_PI * grid.wavenumbers_int()
     if grid.dimension == 1:
-        return k**2
-    return (k**2)[:, None] + (k**2)[None, :]
+        return _read_only(k**2)
+    return _read_only((k**2)[:, None] + (k**2)[None, :])
 
 
 def spectral_gradient(grid: TorusGrid, field: np.ndarray) -> np.ndarray:

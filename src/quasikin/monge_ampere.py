@@ -151,6 +151,12 @@ def determinant_of_potential(pot: Potential) -> np.ndarray:
 
 
 def _check_density(rho: np.ndarray) -> None:
+    # Every comparison with NaN is false, so test finiteness first.
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(
+            f"density must be finite; {int(np.count_nonzero(~np.isfinite(rho)))} "
+            "non-finite values"
+        )
     if np.any(rho <= 0.0):
         raise NonPositiveDensityError(
             f"density must be strictly positive; min value {float(rho.min()):g}"
@@ -291,8 +297,9 @@ def solve_field(
         "poisson" for the linearization eps^2 Lap(phi) = rho - 1.
     tol : max-norm residual target; defaults to 1e-10 * max(1, max(rho)).
 
-    Returns (Potential, FieldSolveReport).  Raises NonPositiveDensityError /
-    MassNotNormalizedError on inadmissible densities, NewtonStalledError or
+    Returns (Potential, FieldSolveReport).  Raises ValueError on non-finite
+    densities, NonPositiveDensityError / MassNotNormalizedError on
+    inadmissible ones, NewtonStalledError or
     EllipticityLostError when the damped iteration cannot proceed.
     """
     if rho.shape != grid.shape:

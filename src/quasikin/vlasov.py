@@ -15,12 +15,19 @@ splitting error, not stability.
 Spatial advection uses the periodic cubic-spline interpolant applied in
 Fourier space: for each velocity node the displacement is uniform in x, so
 the whole update is one multiplication by a circulant transfer function.
+The transfer depends only on the grid and the substep, so it is built once
+and cached; it is Hermitian in k, so real-to-complex FFTs carry the update.
 That transfer is exactly 1 at k = 0, so spatial advection conserves the
-mass of every velocity slice to roundoff.  Velocity advection solves the
-natural-spline tridiagonal system for all spatial rows at once and treats
-the distribution as 0 beyond the velocity box (outflow by truncation);
-negative interpolation overshoot is clipped to keep f >= 0, and the mass
-added by clipping is reported with each substep.
+mass of every velocity slice to roundoff.
+
+Velocity advection uses natural cubic splines.  Every row along a velocity
+axis shares one tridiagonal system, so the spline's second derivatives come
+from one cached dense operator applied as a matrix product; the shift is
+uniform along each row, so evaluating the spline is a 2-point stencil with
+per-row weights, accumulated with slices.  The distribution is 0 beyond
+the velocity box (outflow by truncation); negative interpolation overshoot
+is clipped to keep f >= 0, and the mass added by clipping is reported with
+each substep.
 
 Diagnostics are evaluated on the end-of-step state with a *fresh* field
 solve at that time; mixing the half-step potential with end-step moments
@@ -30,9 +37,9 @@ would contaminate the measured energy drift at first order in dt.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .collision import CollisionConfig, bgk_collide
 from .diagnostics import DiagnosticsRecord, build_record
@@ -245,22 +252,18 @@ def _clip_negative(values: np.ndarray, phase_volume: float) -> float:
     return clipped
 
 
-def advect_x(f: PhaseField, dt: float) -> tuple[PhaseField, float]:
-    """Exact-in-time streaming update f(x, xi) <- f(x - xi dt, xi).
+@lru_cache(maxsize=16)
+def _stream_transfer(x_grid: TorusGrid, v_grid: VelocityGrid, dt: float) -> np.ndarray:
+    """Fourier transfer of the periodic cubic-spline shift by ``xi dt``.
 
-    Per x-axis, each velocity slice is shifted by a uniform displacement via
-    the Fourier transfer function of periodic cubic-spline interpolation.
-    The k = 0 transfer is exactly 1, so each slice keeps its mass; the
-    returned float is the (tiny) mass added by clipping overshoot.
+    Shape (n_x, n_v) in FFT wavenumber layout, one column per velocity node.
+    It is Hermitian in k and real at k = 0 and at Nyquist, so its first
+    n_x/2 + 1 rows serve real-to-complex transforms.
+    Read-only: the cached array is shared by every call with the same key.
     """
-    d = f.dimension
-    n_x = f.x_grid.n_x
-    h_x = f.x_grid.h_x
-    kappa = 2.0 * np.pi * f.x_grid.wavenumbers_int() / n_x
+    kappa = 2.0 * np.pi * x_grid.wavenumbers_int() / x_grid.n_x
     beta = (2.0 + np.cos(kappa)) / 3.0
-    nodes = f.v_grid.axis_nodes()
-
-    sigma = nodes * (dt / h_x)
+    sigma = v_grid.axis_nodes() * (dt / x_grid.h_x)
     p = np.floor(sigma)
     t = sigma - p
     weights = (
@@ -270,56 +273,132 @@ def advect_x(f: PhaseField, dt: float) -> tuple[PhaseField, float]:
         + ((1.0 - t) ** 3 / 6.0)[None, :] * np.exp(1j * kappa)[:, None]
     )
     transfer = np.exp(-1j * np.outer(kappa, p)) * weights / beta[:, None]
+    transfer.flags.writeable = False
+    return transfer
 
-    values = f.values
-    for a in range(d):
-        shape = [1] * (2 * d)
-        shape[a] = n_x
-        shape[d + a] = f.v_grid.n_v
-        spectrum = np.fft.fft(values, axis=a) * transfer.reshape(shape)
-        values = np.fft.ifft(spectrum, axis=a).real
-    values = values.copy() if values is f.values else values
+
+def advect_x(f: PhaseField, dt: float) -> tuple[PhaseField, float]:
+    """Exact-in-time streaming update f(x, xi) <- f(x - xi dt, xi).
+
+    Per x-axis, each velocity slice is shifted by a uniform displacement via
+    the Fourier transfer function of periodic cubic-spline interpolation,
+    built once per (n_x, velocity nodes, dt) and cached.  The last x-axis
+    uses a real-to-complex FFT; in 2-d the other x-axis is transformed
+    with a complex FFT on that half spectrum.  The k = 0 transfer is
+    exactly 1, so each slice keeps its mass; the returned float is the
+    (tiny) mass added by clipping overshoot.
+    """
+    d = f.dimension
+    n_x = f.x_grid.n_x
+    n_v = f.v_grid.n_v
+    transfer = _stream_transfer(f.x_grid, f.v_grid, dt)
+    half = n_x // 2 + 1
+    last = d - 1
+    shape = [1] * (2 * d)
+    shape[last] = half
+    shape[d + last] = n_v
+    spectrum = np.fft.rfft(f.values, axis=last)
+    spectrum *= transfer[:half].reshape(shape)
+    if d == 2:
+        spectrum = np.fft.fft(spectrum, axis=0)
+        spectrum *= transfer.reshape(n_x, 1, n_v, 1)
+        spectrum = np.fft.ifft(spectrum, axis=0)
+    values = np.fft.irfft(spectrum, n=n_x, axis=last)
     clipped = _clip_negative(values, f.phase_volume)
     return PhaseField(f.x_grid, f.v_grid, values, f.time), clipped
 
 
-def _natural_spline_second_derivatives(rows: np.ndarray, h: float) -> np.ndarray:
-    """Second derivatives of the natural cubic spline, batched over rows."""
-    m, n = rows.shape
-    rhs = np.zeros((m, n))
-    rhs[:, 1:-1] = 6.0 * (rows[:, :-2] - 2.0 * rows[:, 1:-1] + rows[:, 2:]) / h**2
-    ab = np.zeros((3, n))
-    ab[0, 2:] = 1.0
-    ab[1, :] = 4.0
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[2, :-2] = 1.0
-    return solve_banded((1, 1), ab, rhs.T).T
+@lru_cache(maxsize=16)
+def _spline_curvature_operator(n: int, h: float) -> np.ndarray:
+    """Dense K with M = K f: second derivatives of the natural cubic spline.
 
-
-def _shift_rows(rows: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
-    """Evaluate each row's natural spline at nodes displaced by sigma * h.
-
-    Positions beyond the sampled interval produce 0 (outflow).  A zero shift
-    reproduces the row bitwise: the last interval is evaluated at t = 1,
-    whose spline coefficients vanish identically.
+    The natural spline through n samples at spacing h has M_0 = M_{n-1} = 0
+    and M_{i-1} + 4 M_i + M_{i+1} = 6 (f_{i-1} - 2 f_i + f_{i+1}) / h^2
+    inside, so K = 6/h^2 A^{-1} D_2 is the same for every row of a velocity
+    axis.  Read-only: the cached array is shared by every call.
     """
-    m, n = rows.shape
-    deriv = _natural_spline_second_derivatives(rows, h)
-    g = np.arange(n)[None, :] - sigma[:, None]
-    inside = (g >= 0.0) & (g <= n - 1.0)
-    i = np.clip(np.floor(g), 0, n - 2).astype(np.int64)
-    t = g - i
-    f_lo = np.take_along_axis(rows, i, axis=1)
-    f_hi = np.take_along_axis(rows, i + 1, axis=1)
-    m_lo = np.take_along_axis(deriv, i, axis=1)
-    m_hi = np.take_along_axis(deriv, i + 1, axis=1)
+    a = np.eye(n)
+    d2 = np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    a[i, i] = 4.0
+    a[i, i - 1] = a[i, i + 1] = 1.0
+    d2[i, i - 1] = d2[i, i + 1] = 1.0
+    d2[i, i] = -2.0
+    # Fortran order: both K (axis -2) and K.T (axis -1) then reach matmul
+    # in a layout it multiplies without a copy.
+    k = np.asfortranarray(np.linalg.solve(a, d2) * (6.0 / h**2))
+    k.flags.writeable = False
+    return k
+
+
+def _kick_axis(values: np.ndarray, sigma: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Shift every row along velocity ``axis`` (-1 or -2) by its own sigma.
+
+    ``sigma`` holds one displacement in cells per spatial node, shaped
+    ``x_shape + (1,) * d``.  Output node j samples the row's natural spline
+    at g = j - sigma, which lies in the interval [j - c, j - c + 1] at
+    offset t = c - sigma, with c = ceil(sigma): a 2-point stencil in f and
+    in the spline's second derivatives M, with per-row weights.  Positions
+    outside [0, n - 1] give 0 (outflow).  A zero shift reproduces the row
+    bitwise: its weights are exactly (1, 0, 0, 0).
+
+    The stencil is accumulated with slices, one group of rows per distinct
+    c, on the (spatial node, velocity block) view, so each slice is long
+    and contiguous.  Along the last of two velocity axes those flat slices
+    run across the ends of the kicked rows; the nodes outside the group's
+    range are reset afterwards.
+    """
+    n = values.shape[axis]
+    curvature = _spline_curvature_operator(n, h)
+    curv = values @ curvature.T if axis == -1 else curvature @ values
+    c = np.ceil(sigma)
+    t = c - sigma
     one_t = 1.0 - t
-    values = (
-        one_t * f_lo
-        + t * f_hi
-        + (h**2 / 6.0) * ((one_t**3 - one_t) * m_lo + (t**3 - t) * m_hi)
+    weights = (
+        one_t,
+        t,
+        (h * h / 6.0) * (one_t**3 - one_t),
+        (h * h / 6.0) * (t**3 - t),
     )
-    return np.where(inside, values, 0.0)
+    # Node n - 1 + c samples g = n - 1 + t, on the box edge when t = 0 and
+    # rounded onto it when t is below half an ulp of n - 1: either way it
+    # takes f[n - 1], as evaluating at the rounded g would.
+    on_edge = (n - 1 + c) - sigma <= n - 1
+
+    def column(j: int) -> tuple:
+        index = [slice(None)] * values.ndim
+        index[axis] = slice(j, j + 1)
+        return tuple(index)
+
+    n_rows = sigma.size
+    flat_values = values.reshape(n_rows, -1)
+    flat_curv = curv.reshape(n_rows, -1)
+    sources = (flat_values, flat_values, flat_curv, flat_curv)
+    length = flat_values.shape[1]
+    step = 1 if axis == -1 else values.shape[-1]  # flat distance between nodes
+    out = np.zeros(values.shape)  # C order, so flat_out is a view
+    flat_out = out.reshape(n_rows, -1)
+    scratch = np.empty_like(flat_out)
+    for shift in np.unique(c):
+        rows = c == shift
+        s = int(shift)
+        lo, hi = max(s, 0), min(n - 1 + s, n)
+        if lo < hi:
+            q0, q1 = lo * step, length - (n - hi) * step
+            dst = flat_out[:, q0:q1]
+            term = scratch[:, q0:q1]
+            for w, src, offset in zip(weights, sources, (0, 1, 0, 1)):
+                k = (s - offset) * step
+                w_rows = np.where(rows, w, 0.0).reshape(n_rows, 1)
+                dst += np.multiply(w_rows, src[:, q0 - k : q1 - k], out=term)
+            if step * n < length:
+                keep = np.where(rows, 0.0, 1.0)
+                for j in (*range(lo), *range(hi, n)):
+                    out[column(j)] *= keep
+        edge = n - 1 + s
+        if 0 <= edge < n:
+            out[column(edge)] += np.where(rows & on_edge, 1.0, 0.0) * values[column(n - 1)]
+    return out
 
 
 def advect_v(
@@ -327,10 +406,14 @@ def advect_v(
 ) -> tuple[PhaseField, float]:
     """Kick update f(x, xi) <- f(x, xi - a(x) dt), zero outside the box.
 
-    Natural cubic splines along each velocity axis, solved for every spatial
-    row in one banded call.  Rejects displacements larger than the whole
-    velocity extent (that is a configuration error, not a numerical one).
-    Returns the new field and the mass added by clipping overshoot.
+    Natural cubic splines along each velocity axis.  Their second
+    derivatives come from one cached dense operator applied along the axis
+    as a matrix product; the shift is uniform along each row, so the
+    interpolant is a 2-point stencil with per-row weights, accumulated with
+    slices (see _kick_axis).  Any shift is handled; only displacements
+    larger than the whole velocity extent are rejected (that is a
+    configuration error, not a numerical one).  Returns the new field and
+    the mass added by clipping overshoot.
     """
     d = f.dimension
     acceleration = np.asarray(acceleration, dtype=float)
@@ -340,27 +423,17 @@ def advect_v(
         )
     span = 2.0 * f.v_grid.v_max
     worst = float(np.abs(acceleration).max()) * abs(dt)
-    if worst > span:
+    if not worst <= span:  # also rejects a non-finite field
         raise ValueError(
             f"velocity displacement {worst:g} exceeds the grid extent {span:g}; "
             "the field or dt is misconfigured"
         )
-    n_v = f.v_grid.n_v
     h_v = f.v_grid.h_v
+    row_shape = f.x_grid.shape + (1,) * d
     values = f.values
     for b in range(d):
-        moved = np.moveaxis(values, d + b, -1)
-        lead_shape = moved.shape[:-1]
-        sigma = np.broadcast_to(
-            (acceleration[b] * (dt / h_v)).reshape(
-                f.x_grid.shape + (1,) * (d - 1)
-            ),
-            lead_shape,
-        ).reshape(-1)
-        rows = moved.reshape(-1, n_v)
-        shifted = _shift_rows(rows, sigma, h_v)
-        values = np.moveaxis(shifted.reshape(lead_shape + (n_v,)), -1, d + b)
-    values = np.ascontiguousarray(values)
+        sigma = (acceleration[b] * (dt / h_v)).reshape(row_shape)
+        values = _kick_axis(values, sigma, b - d, h_v)
     clipped = _clip_negative(values, f.phase_volume)
     return PhaseField(f.x_grid, f.v_grid, values, f.time), clipped
 

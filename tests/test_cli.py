@@ -1,10 +1,15 @@
 """Scenario parsing and command-line behavior.
 
 These run the CLI in-process through main(argv) so exit codes and outputs
-can be asserted without subprocesses.
+can be asserted without subprocesses; only the import probe at the end
+needs a fresh interpreter.
 """
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +135,8 @@ class TestConfig:
             (("dt = 1e-2", "dt = 2.5e-2"), "exceeds"),
             (("n_x = 16", "nothing = 16"), "missing required key"),
             (("kind = bgk", "kind = elastic"), "collision kind"),
+            (("tau = 0.1", "tau = 0.1\ntua = 9"), r"unknown keys in \[collision\]: tua"),
+            (("u0 = zero", "u0_kind = zero"), r"unknown keys in \[initial\]: u0_kind"),
         ],
     )
     def test_rejections(self, tmp_path, mutation, match):
@@ -142,6 +149,25 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.cfg")
+
+    def test_benchmark_templates_load(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        for name, workload in workloads.WORKLOADS.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(workload.scenario_text(seed=0, steps=2))
+            load_config(cfg)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.cfg"
+        path.write_text(example)
+        config = load_config(path)
+        assert config.u0_kind == "constant"
 
 
 class TestSimulateVerb:
@@ -188,6 +214,15 @@ class TestSimulateVerb:
                      "--output", str(tmp_path / "o")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_unknown_key_exits_2_and_lists_allowed(self, tmp_path, capsys):
+        path = tmp_path / "typo.cfg"
+        path.write_text(TINY.replace("tau = 0.1", "tua = 9"))
+        code = main(["simulate", "--config", str(path),
+                     "--output", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "tua" in err and "allowed: kind, tau, gamma, n_sigma" in err
 
     def test_infeasible_scenario_exits_2(self, tmp_path, capsys):
         path = tmp_path / "fast.cfg"
@@ -258,3 +293,17 @@ class TestCheckVerb:
         payload = json.loads(report.read_text())
         assert payload["passed"] is True
         assert all(c["passed"] for c in payload["checks"])
+
+
+def test_import_does_not_load_scipy_linalg():
+    # scipy.linalg costs ~0.2 s and ~20 MiB per process; nothing on the
+    # run path needs it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, quasikin.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -10,6 +10,8 @@ from quasikin.grids import (
     PhaseField,
     TorusGrid,
     VelocityGrid,
+    _ik_factor,
+    _k2_factor,
     grid_integral,
     inverse_laplacian_zero_mean,
     l2_norm,
@@ -44,6 +46,20 @@ class TestTorusGrid:
 
     def test_cell_volume(self):
         assert TorusGrid(2, 16).cell_volume == pytest.approx(1.0 / 256)
+
+    def test_spectral_symbols_are_cached_read_only(self):
+        for d in (1, 2):
+            grid = TorusGrid(d, 8)
+            symbols = (
+                (grid.wavenumbers_int(), TorusGrid(d, 8).wavenumbers_int()),
+                (_ik_factor(grid, d - 1), _ik_factor(TorusGrid(d, 8), d - 1)),
+                (_k2_factor(grid), _k2_factor(TorusGrid(d, 8))),
+            )
+            for first, again in symbols:
+                assert again is first
+                with pytest.raises(ValueError, match="read-only"):
+                    first[0] = 1.0
+        assert TorusGrid(1, 8).wavenumbers_int().tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
 
 
 class TestVelocityGrid:

@@ -108,6 +108,16 @@ class TestAdmissibilityChecks:
         with pytest.raises(NonPositiveDensityError):
             solve_field(grid, rho, 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["poisson", "monge_ampere"])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_rejects_non_finite_density(self, bad, mode, dimension):
+        grid = TorusGrid(dimension, 8)
+        rho = np.ones(grid.shape)
+        rho.flat[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_field(grid, rho, 0.1, mode=mode)
+
     def test_rejects_unnormalized_mass(self):
         grid = TorusGrid(1, 16)
         with pytest.raises(MassNotNormalizedError):

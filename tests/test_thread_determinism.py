@@ -1,0 +1,73 @@
+"""Diagnostics do not depend on the size of the numerical thread pools.
+
+The velocity kick applies its spline operator as a BLAS matrix product, and
+a threaded BLAS may split a product among threads.  A run at
+QUASIKIN_THREADS=1 and one at QUASIKIN_THREADS=2 must still write
+byte-identical diagnostics.  The runs are separate processes because the
+pools are sized when numpy is first loaded.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCENARIO = """\
+[run]
+name = threads_d2
+dimension = 2
+n_x = 16
+n_v = 32
+epsilon = 0.1
+dt = 5e-3
+t_end = 2e-2
+field_mode = monge_ampere
+v_max = auto
+a_max = 1.0
+euler_reference = yes
+
+[collision]
+kind = bgk
+tau = 0.05
+
+[initial]
+u0 = taylor_green
+u0_amplitude = 0.25
+delta = 0.01
+theta = 0.1
+profile = cosine_xy
+"""
+
+POOL_VARIABLES = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def _simulate(config: Path, out: Path, threads: int) -> bytes:
+    env = {k: v for k, v in os.environ.items() if k not in POOL_VARIABLES}
+    env["QUASIKIN_THREADS"] = str(threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "quasikin.cli", "simulate",
+         "--config", str(config), "--output", str(out)],
+        env=env,
+        check=True,
+        timeout=120,
+        capture_output=True,
+    )
+    return (out / "diagnostics.csv").read_bytes()
+
+
+def test_one_and_two_threads_write_identical_diagnostics(tmp_path):
+    config = tmp_path / "threads_d2.cfg"
+    config.write_text(SCENARIO)
+    single = _simulate(config, tmp_path / "one", 1)
+    double = _simulate(config, tmp_path / "two", 2)
+    assert len(single.splitlines()) == 6  # header, initial state, 4 steps
+    assert single == double

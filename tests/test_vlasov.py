@@ -199,6 +199,12 @@ class TestAdvectV:
         with pytest.raises(ValueError, match="displacement"):
             advect_v(f, np.full((1, 4), 50.0), 0.1)
 
+    def test_non_finite_acceleration_rejected(self):
+        x_grid, v_grid = TorusGrid(1, 4), VelocityGrid(1, 16, 2.0)
+        f = PhaseField(x_grid, v_grid, np.ones((4, 16)), 0.0)
+        with pytest.raises(ValueError, match="displacement nan"):
+            advect_v(f, np.array([[0.1, np.nan, 0.0, 0.0]]), 0.1)
+
     def test_clipping_is_logged(self):
         x_grid, v_grid = TorusGrid(1, 4), VelocityGrid(1, 32, 2.0)
         values = np.zeros((4, 32))
