@@ -20,7 +20,7 @@ from quasikin.collision import (
     post_collision_velocities,
 )
 from quasikin.config import load_config
-from quasikin.diagnostics import k_functional_check
+from quasikin.diagnostics import CSV_COLUMNS, k_functional_check
 from quasikin.euler import (
     EulerReference,
     initial_velocity,
@@ -407,3 +407,50 @@ def test_criterion_13_deterministic_reruns(flagship_csvs):
         f"flagship scenario rerun produced byte-identical diagnostics "
         f"({rows} rows, {len(bytes_a)} bytes)",
     )
+
+
+# |value - baseline| <= BASELINE_RTOL * |baseline| + BASELINE_ATOL[column]:
+# the tolerances perfbench/workloads.py justifies for its reference rows,
+# restated here.  t is a step count times dt and gets no floor.
+BASELINE_RTOL = 1e-9
+BASELINE_ATOL = {
+    "t": 0.0,
+    "mass": 1e-14,
+    "e_total": 1e-15,
+    "H_eps": 1e-15,
+    "h_eps": 1e-17,
+    "rho_Hm1": 1e-16,
+    "J_err_divfree": 1e-9,
+}
+
+
+def test_behaviour_baseline(d1_sweep, d2_spot, energy_d1_runs, flagship_csvs):
+    """The fixtures' trajectories match tests/behaviour_baseline.json.
+
+    The baseline samples every 50th row plus the last one of each run and
+    was written by tests/make_behaviour_baseline.py; no run is made here.
+    """
+    baseline = json.loads((Path(__file__).parent / "behaviour_baseline.json").read_text())
+    runs = {f"sweep_quasineutral_d1/eps={eps:g}": t for eps, t in d1_sweep}
+    runs.update({f"quasineutral_d2/eps={eps:g}": t for eps, t in d2_spot})
+    runs.update({f"energy_d1/{mode}": t for mode, t in energy_d1_runs.items()})
+    tables = {key: [r.to_csv_row() for r in t.records] for key, t in runs.items()}
+    tables["quasineutral_d1"] = flagship_csvs[0].read_text().splitlines()[1:]
+    assert sorted(tables) == sorted(baseline["trajectories"])
+    columns = baseline["columns"]
+    index = [CSV_COLUMNS.index(c) for c in columns]
+    misses = []
+    for key, sampled in baseline["trajectories"].items():
+        rows = tables[key]
+        assert len(rows) == sampled["steps"][-1] + 1, f"{key}: {len(rows)} rows"
+        for step, want_row in zip(sampled["steps"], sampled["rows"]):
+            cells = rows[step].split(",")
+            for col, i, want in zip(columns, index, want_row):
+                got = float(cells[i]) if cells[i] else None
+                if want is None or got is None:
+                    ok = got is want
+                else:
+                    ok = abs(got - want) <= BASELINE_RTOL * abs(want) + BASELINE_ATOL[col]
+                if not ok:
+                    misses.append(f"{key} step {step} {col}: {got!r} vs {want!r}")
+    assert not misses, f"{len(misses)} baseline misses, first: {misses[:5]}"
