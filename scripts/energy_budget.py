@@ -11,8 +11,8 @@ import argparse
 from pathlib import Path
 
 from quasikin.config import load_config
-from quasikin.euler import EulerReference
-from quasikin.vlasov import reference_flow, run
+from quasikin.diagnostics import relative_energy_drift
+from quasikin.vlasov import run
 
 REPO = Path(__file__).resolve().parents[1]
 MODES = ("poisson", "monge_ampere")
@@ -29,16 +29,7 @@ def parse_args():
 def main() -> int:
     args = parse_args()
     config = load_config(args.config)
-    trajectories = {}
-    for mode in MODES:
-        params = config.make_params(field_mode=mode)
-        reference = None
-        if config.euler_reference:
-            x_grid = params.x_grid()
-            reference = EulerReference(
-                x_grid, reference_flow(params.ic, x_grid), params.dt
-            )
-        trajectories[mode] = run(params, euler_reference=reference)
+    trajectories = {mode: run(config.make_params(field_mode=mode)) for mode in MODES}
 
     for mode, trajectory in trajectories.items():
         records = trajectory.records
@@ -47,9 +38,7 @@ def main() -> int:
         print(f"{'t':>8}  {'kinetic':>22}  {'field':>22}  {'total':>22}")
         for r in records[::stride]:
             print(f"{r.t:8.4f}  {r.e_kinetic:22.15e}  {r.e_field:22.15e}  {r.e_total:22.15e}")
-        e0 = records[0].e_total
-        drift = max(abs(r.e_total - e0) for r in records) / abs(e0)
-        print(f"max relative total-energy drift: {drift:.3e}")
+        print(f"max relative total-energy drift: {relative_energy_drift(records):.3e}")
 
     if args.plot:
         try:

@@ -24,6 +24,7 @@ from .diagnostics import (
     h_functional,
     k_functional_check,
     modulated_energy,
+    relative_energy_drift,
 )
 from .euler import EulerState, euler_step, initial_velocity, kinetic_energy
 from .grids import (
@@ -183,6 +184,36 @@ def check_modulated_dominates_mismatch() -> tuple[bool, str]:
     return small <= big + 1e-12, f"h = {small:.6g} <= H = {big:.6g}"
 
 
+def modulated_energy_defect(f: PhaseField, u: np.ndarray) -> float:
+    """|modulated_energy - direct sum| / max(1, |direct sum|), no field.
+
+    The direct sum is (1/2) sum |xi - u(x)|^2 f over phase space; a defect
+    beyond roundoff means the moments and the distribution disagree.
+    """
+    d = f.dimension
+    mesh = f.v_grid.node_mesh()
+    sq = sum(
+        (mesh[a].reshape((1,) * d + f.v_grid.shape)
+         - u[a].reshape(f.x_grid.shape + (1,) * d)) ** 2
+        for a in range(d)
+    )
+    direct = 0.5 * float((sq * f.values).sum()) * f.phase_volume
+    return abs(modulated_energy(f, None, u) - direct) / max(1.0, abs(direct))
+
+
+def check_modulated_energy_identity() -> tuple[bool, str]:
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for x_grid, v_grid in ((TorusGrid(1, 16), VelocityGrid(1, 48, 6.0)),
+                           (TorusGrid(2, 8), VelocityGrid(2, 16, 4.0))):
+        f = PhaseField(x_grid, v_grid, rng.random(x_grid.shape + v_grid.shape), 0.0)
+        u = np.stack(
+            [random_bandlimited_field(x_grid, 3, rng) for _ in range(x_grid.dimension)]
+        )
+        worst = max(worst, modulated_energy_defect(f, u))
+    return worst <= 1e-12, f"direct vs moment sum: relative defect {worst:.2e} (tol 1e-12)"
+
+
 def check_k_duality() -> tuple[bool, str]:
     grid = TorusGrid(1, 32)
     x = grid.axis_coords()
@@ -222,9 +253,7 @@ def check_energy_drift_short() -> tuple[bool, str]:
         t_end=0.1, field_mode="poisson",
         ic=WellPreparedIC(delta=0.1, theta=1.0), a_max_estimate=3.5,
     )
-    trajectory = run(params)
-    e0 = trajectory.records[0].e_total
-    drift = max(abs(r.e_total - e0) for r in trajectory.records) / abs(e0)
+    drift = relative_energy_drift(run(params).records)
     return drift <= 1e-6, f"relative drift {drift:.2e} over t=0.1 (tol 1e-6)"
 
 
@@ -264,6 +293,7 @@ FAST_CHECKS = [
     ("cofactor_identity", check_cofactor_identity),
     ("mean_determinant", check_mean_determinant),
     ("modulated_dominates_mismatch", check_modulated_dominates_mismatch),
+    ("modulated_energy_identity", check_modulated_energy_identity),
     ("k_duality", check_k_duality),
     ("euler_taylor_green", check_euler_taylor_green),
     ("transport_identities", check_transport_identities),

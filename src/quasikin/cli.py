@@ -34,21 +34,15 @@ import scipy
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .diagnostics import DiagnosticsRecord
-from .euler import EulerReference, solve_euler
+from .diagnostics import DiagnosticsRecord, format_cell, relative_energy_drift
+from .euler import solve_euler
 from .grids import TorusGrid, write_snapshot
-from .vlasov import SimulationParams, Trajectory, reference_flow, run
+from .vlasov import SimulationParams, Trajectory, run
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return "%.17g" % value
 
 
 def _write_csv(path: Path, header: str, rows: list) -> None:
@@ -67,16 +61,10 @@ def _write_manifest(path: Path, payload: dict) -> None:
 def _run_one(
     config: RunConfig, params: SimulationParams, out_dir: Path
 ) -> Trajectory:
-    """Execute one configured run and write diagnostics.csv (+ snapshots)."""
+    """Execute one run of ``params`` and write diagnostics.csv (+ snapshots)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    reference = None
-    if config.euler_reference:
-        x_grid = params.x_grid()
-        reference = EulerReference(
-            x_grid, reference_flow(params.ic, x_grid), params.dt
-        )
     started = time.perf_counter()
-    trajectory = run(params, euler_reference=reference)
+    trajectory = run(params)
     elapsed = time.perf_counter() - started
 
     _write_csv(
@@ -108,7 +96,7 @@ def _run_one(
             "collision_kind": params.collision.kind,
             "steps": params.n_steps,
             "rows": len(trajectory.records),
-            "euler_reference": config.euler_reference,
+            "euler_reference": params.euler_reference,
             "wall_time_s": elapsed,
         },
     )
@@ -138,11 +126,6 @@ def _sweep_metrics_quasineutral(trajectory: Trajectory) -> dict:
     }
 
 
-def _relative_drift(trajectory: Trajectory) -> float:
-    e0 = trajectory.records[0].e_total
-    return max(abs(r.e_total - e0) for r in trajectory.records) / abs(e0)
-
-
 def _fit_slope(epsilons: list, values: list) -> float | None:
     pairs = [(e, v) for e, v in zip(epsilons, values) if v is not None and v > 0.0]
     if len(pairs) < 2:
@@ -170,7 +153,7 @@ def cmd_sweep(args) -> int:
                 for mode in ("poisson", "monge_ampere"):
                     params = config.make_params(eps, field_mode=mode)
                     trajectory = _run_one(config, params, out_dir / f"{label}_{mode}")
-                    drifts[mode] = _relative_drift(trajectory)
+                    drifts[mode] = relative_energy_drift(trajectory.records)
                 metrics = {
                     "drift_poisson": drifts["poisson"],
                     "drift_monge_ampere": drifts["monge_ampere"],
@@ -185,14 +168,13 @@ def cmd_sweep(args) -> int:
         except (ConfigError, ValueError, RuntimeError) as exc:
             failures.append((eps, f"{type(exc).__name__}: {exc}"))
             print(f"sweep {label} FAILED: {exc}", file=sys.stderr)
-            rows.append(_fmt(eps) + "," + "," * (len(_sweep_columns(config)) - 2) + "failed")
+            rows.append(format_cell(eps) + "," + "," * (len(_sweep_columns(config)) - 2) + "failed")
             results.append((eps, None))
             continue
         results.append((eps, metrics))
-        rows.append(
-            ",".join([_fmt(eps)] + [_fmt(metrics[k]) for k in _metric_keys(config)] + ["ok"])
-        )
-        print(f"sweep {label}: " + " ".join(f"{k}={_fmt(v)}" for k, v in metrics.items()))
+        cells = [eps] + [metrics[k] for k in _metric_keys(config)]
+        rows.append(",".join(map(format_cell, cells)) + ",ok")
+        print(f"sweep {label}: " + " ".join(f"{k}={format_cell(v)}" for k, v in metrics.items()))
 
     _write_csv(out_dir / "convergence.csv", ",".join(_sweep_columns(config)), rows)
 
@@ -245,11 +227,20 @@ def cmd_euler(args) -> int:
     from .euler import initial_velocity, kinetic_energy
     from .grids import spectral_divergence
 
-    grid = TorusGrid(args.dimension, args.n)
+    if not (0.0 < args.dt < np.inf and 0.0 <= args.t_end < np.inf
+            and np.isfinite(args.amplitude)):
+        raise ConfigError(
+            f"need finite --dt > 0, --t-end >= 0 and --amplitude, "
+            f"got {args.dt:g}, {args.t_end:g} and {args.amplitude:g}"
+        )
     kwargs = {"amplitude": args.amplitude, "seed": args.seed}
     if args.kind == "constant":
         kwargs = {"value": [args.amplitude] + [0.0] * (args.dimension - 1)}
-    u0 = initial_velocity(grid, args.kind, **kwargs)
+    try:
+        grid = TorusGrid(args.dimension, args.n)
+        u0 = initial_velocity(grid, args.kind, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     n_steps = round(args.t_end / args.dt)
     if abs(n_steps * args.dt - args.t_end) > 1e-8 * max(1.0, args.t_end):
         raise ConfigError("t_end must be an integer number of steps")
@@ -268,11 +259,7 @@ def cmd_euler(args) -> int:
     rows = []
     for state in states:
         div = float(np.abs(spectral_divergence(grid, state.u)).max())
-        rows.append(
-            ",".join(
-                [_fmt(state.time), _fmt(kinetic_energy(state)), _fmt(div)]
-            )
-        )
+        rows.append(",".join(map(format_cell, (state.time, kinetic_energy(state), div))))
     _write_csv(out_dir / "euler.csv", "t,kinetic_energy,max_divergence", rows)
     _write_manifest(
         out_dir / "manifest.json",

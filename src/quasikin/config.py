@@ -126,6 +126,7 @@ class RunConfig:
                 cfl=self.cfl,
                 a_max_estimate=self.a_max,
                 snapshot_stride=self.snapshot_stride,
+                euler_reference=self.euler_reference,
             )
         except ValueError as exc:
             raise ConfigError(f"scenario {self.name!r}: {exc}") from exc

@@ -7,10 +7,10 @@ alias back into the retained band, so with every field held in that band the
 semi-discrete system conserves kinetic energy exactly and the measured drift
 is pure RK4 time-integration error.
 
-Velocity fields are arrays of shape (d,) + grid.shape.  In d = 1 the same
-code path degenerates correctly: incompressibility forces u to be constant
-in x and the projected nonlinearity vanishes identically, so the reference
-"flow" is a constant — which is exactly the hydrodynamic limit there.
+Velocity fields are arrays of shape (d,) + grid.shape.  In d = 1
+incompressibility forces u to be constant in x, so the reference "flow" is
+a constant — exactly the hydrodynamic limit there — and euler_step returns
+it unchanged.  ``pressure`` recovers the pressure on demand.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "leray_project",
     "initial_velocity",
     "euler_step",
+    "pressure",
     "solve_euler",
     "kinetic_energy",
     "EulerReference",
@@ -82,66 +83,54 @@ def leray_project(grid: TorusGrid, v: np.ndarray) -> np.ndarray:
     return v - spectral_gradient(grid, potential)
 
 
+def _advection(grid: TorusGrid, u: np.ndarray) -> np.ndarray:
+    """The dealiased advection term (u . grad)u, band-limited per component."""
+    d = grid.dimension
+    grads = [spectral_gradient(grid, u[b]) for b in range(d)]
+    adv = np.empty_like(u)
+    for b in range(d):
+        acc = u[0] * grads[b][0]
+        for a in range(1, d):
+            acc += u[a] * grads[b][a]
+        adv[b] = band_limit(grid, acc)
+    return adv
+
+
 def _projected_nonlinearity(grid: TorusGrid, u: np.ndarray) -> np.ndarray:
     """P applied to the dealiased advection term (u . grad)u."""
-    d = grid.dimension
-    grads = [spectral_gradient(grid, u[b]) for b in range(d)]
-    adv = np.empty_like(u)
-    for b in range(d):
-        acc = u[0] * grads[b][0]
-        for a in range(1, d):
-            acc += u[a] * grads[b][a]
-        adv[b] = band_limit(grid, acc)
-    return leray_project(grid, adv)
-
-
-def _pressure(grid: TorusGrid, u: np.ndarray) -> np.ndarray:
-    """Zero-mean pressure recovered from -div((u . grad)u)."""
-    d = grid.dimension
-    grads = [spectral_gradient(grid, u[b]) for b in range(d)]
-    adv = np.empty_like(u)
-    for b in range(d):
-        acc = u[0] * grads[b][0]
-        for a in range(1, d):
-            acc += u[a] * grads[b][a]
-        adv[b] = band_limit(grid, acc)
-    return inverse_laplacian_zero_mean(grid, -spectral_divergence(grid, adv))
+    return leray_project(grid, _advection(grid, u))
 
 
 @dataclass(eq=False)
 class EulerState:
-    """Divergence-free velocity with its diagnostic pressure at one time."""
+    """Divergence-free velocity at one time."""
 
     grid: TorusGrid
     u: np.ndarray
-    p: np.ndarray
     time: float = 0.0
 
     def __post_init__(self) -> None:
         self.u = _check_velocity(self.grid, self.u)
-        self.p = np.asarray(self.p, dtype=float)
-        if self.p.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"pressure shape {self.p.shape} != {self.grid.shape}"
-            )
         div = spectral_divergence(self.grid, self.u)
         worst = float(np.abs(div).max())
         if worst > DIVERGENCE_TOLERANCE:
             raise ValueError(f"velocity is not divergence-free: max |div u| = {worst:g}")
-        mean_p = abs(float(self.p.mean()))
-        if mean_p > 1e-10:
-            raise ValueError(f"pressure must have zero mean, got {mean_p:g}")
 
     @classmethod
     def from_velocity(cls, grid: TorusGrid, u, time: float = 0.0) -> "EulerState":
-        """Ingest a raw velocity field: band-limit, project, attach pressure."""
+        """Ingest a raw velocity field: band-limit, then project."""
         u = _check_velocity(grid, np.asarray(u, dtype=float))
         u = np.stack([band_limit(grid, u[a]) for a in range(grid.dimension)])
-        u = leray_project(grid, u)
-        return cls(grid, u, _pressure(grid, u), time)
+        return cls(grid, leray_project(grid, u), time)
 
     def max_speed(self) -> float:
         return float(np.sqrt((self.u**2).sum(axis=0)).max())
+
+
+def pressure(state: EulerState) -> np.ndarray:
+    """Zero-mean pressure of the state, recovered from -div((u . grad)u)."""
+    adv = _advection(state.grid, state.u)
+    return inverse_laplacian_zero_mean(state.grid, -spectral_divergence(state.grid, adv))
 
 
 def kinetic_energy(state: EulerState) -> float:
@@ -150,7 +139,10 @@ def kinetic_energy(state: EulerState) -> float:
 
 
 def euler_step(state: EulerState, dt: float) -> EulerState:
-    """One RK4 step of du/dt = -P((u . grad)u); enforces CFL 0.5."""
+    """One RK4 step of du/dt = -P((u . grad)u); enforces CFL 0.5.
+
+    In d = 1 the checks run, then the same constant flow is returned.
+    """
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
@@ -160,13 +152,15 @@ def euler_step(state: EulerState, dt: float) -> EulerState:
             f"dt = {dt:g} exceeds CFL bound {CFL_NUMBER * grid.h_x / speed:g} "
             f"(h_x = {grid.h_x:g}, max speed = {speed:g})"
         )
+    if grid.dimension == 1:
+        return EulerState(grid, state.u.copy(), state.time + dt)
     u0 = state.u
     k1 = -_projected_nonlinearity(grid, u0)
     k2 = -_projected_nonlinearity(grid, u0 + 0.5 * dt * k1)
     k3 = -_projected_nonlinearity(grid, u0 + 0.5 * dt * k2)
     k4 = -_projected_nonlinearity(grid, u0 + dt * k3)
     u1 = u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return EulerState(grid, u1, _pressure(grid, u1), state.time + dt)
+    return EulerState(grid, u1, state.time + dt)
 
 
 def initial_velocity(
@@ -209,6 +203,8 @@ def initial_velocity(
         u[0] = amplitude * np.sin(2 * np.pi * y)
         return u
     if kind == "random_bandlimited":
+        if d != 2:  # the projection would leave only roundoff to rescale
+            raise ValueError("random_bandlimited requires dimension 2")
         rng = np.random.default_rng(seed)
         raw = np.stack(
             [random_bandlimited_field(grid, max_mode, rng) for _ in range(d)]

@@ -43,7 +43,7 @@ import numpy as np
 
 from .collision import CollisionConfig, bgk_collide
 from .diagnostics import DiagnosticsRecord, build_record
-from .euler import initial_velocity
+from .euler import EulerReference, initial_velocity
 from .grids import (
     MacroFields,
     PhaseField,
@@ -62,7 +62,6 @@ __all__ = [
     "make_initial_condition",
     "advect_x",
     "advect_v",
-    "strang_step",
     "Observation",
     "observe",
     "Trajectory",
@@ -108,6 +107,7 @@ class SimulationParams:
     cfl: float = 1.0
     a_max_estimate: float = 1.0
     snapshot_stride: int = 0
+    euler_reference: bool = False
 
     def __post_init__(self) -> None:
         if self.field_mode not in FIELD_MODES:
@@ -481,10 +481,9 @@ def observe(
 
 def _advance(
     f: PhaseField, params: SimulationParams
-) -> tuple[PhaseField, Potential | None, float, FieldSolveReport | None]:
+) -> tuple[PhaseField, float, FieldSolveReport | None]:
     dt = params.dt
     f, clipped = advect_x(f, 0.5 * dt)
-    potential = None
     report = None
     if params.field_mode != "none":
         macro = moments(f)
@@ -497,18 +496,7 @@ def _advance(
         f = bgk_collide(f, params.collision.tau, dt)
     f, c = advect_x(f, 0.5 * dt)
     clipped += c
-    return f, potential, clipped, report
-
-
-def strang_step(
-    f: PhaseField, params: SimulationParams, euler_velocity=None
-) -> tuple[PhaseField, Potential | None, DiagnosticsRecord]:
-    """One second-order step; returns (state, field used, diagnostics)."""
-    start = f.time
-    f, potential, clipped, report = _advance(f, params)
-    f.time = start + params.dt
-    obs = observe(f, params, euler_velocity, clipped, report)
-    return f, potential, obs.record
+    return f, clipped, report
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +520,24 @@ class Trajectory:
     final: PhaseField
 
 
-def run(params: SimulationParams, euler_reference=None) -> Trajectory:
+def run(params: SimulationParams) -> Trajectory:
     """March from t = 0 to t_end, observing every step.
 
-    ``euler_reference`` (euler.EulerReference or None) is co-advanced to
-    each record time; with it present the records include the current-error
-    columns and the modulated energy is taken against the reference flow.
-    Deterministic: identical params (and reference) give bit-identical
-    trajectories.
+    The one path from a scenario to a trajectory.  With
+    ``params.euler_reference`` an Euler reference starts from the initial
+    flow, steps with ``params.dt`` and is co-advanced to each record time;
+    the records then include the current-error columns and the modulated
+    energy is taken against the reference flow.  Deterministic: identical
+    params give bit-identical trajectories.
     """
     x_grid = params.x_grid()
     v_grid = params.v_grid()
     f = make_initial_condition(params.ic, x_grid, v_grid, params.epsilon)
+    euler_reference = None
+    if params.euler_reference:
+        euler_reference = EulerReference(
+            x_grid, reference_flow(params.ic, x_grid), params.dt
+        )
 
     records: list[DiagnosticsRecord] = []
     rho_h, cur_h, str_h, frc_h = [], [], [], []
@@ -571,7 +565,7 @@ def run(params: SimulationParams, euler_reference=None) -> Trajectory:
 
     n = params.n_steps
     for k in range(1, n + 1):
-        f, _, clipped, report = _advance(f, params)
+        f, clipped, report = _advance(f, params)
         f.time = k * params.dt
         observe_and_store(f, clipped, report)
         want_snapshot = k == n or (

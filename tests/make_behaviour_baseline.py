@@ -27,20 +27,17 @@ OUTPUT = Path(__file__).resolve().parent / "behaviour_baseline.json"
 STRIDE = 50
 COLUMNS = ("t", "mass", "e_total", "H_eps", "h_eps", "rho_Hm1", "J_err_divfree")
 
-# (baseline key, CLI arguments, diagnostics.csv path under the output dir)
-RUNS = (
-    *(
-        (f"sweep_quasineutral_d1/eps={eps}", None, f"eps_{eps}/diagnostics.csv")
-        for eps in ("0.2", "0.1", "0.05", "0.025")
-    ),
-    *(
-        (f"quasineutral_d2/eps={eps}", None, f"eps_{eps}/diagnostics.csv")
-        for eps in ("0.2", "0.1")
-    ),
-    ("energy_d1/poisson", ["--field-mode", "poisson"], "diagnostics.csv"),
-    ("energy_d1/monge_ampere", ["--field-mode", "monge_ampere"], "diagnostics.csv"),
-    ("quasineutral_d1", [], "diagnostics.csv"),
-)
+# Sweep scenarios with the epsilons they run, as named in their output dirs.
+SWEEPS = {
+    "sweep_quasineutral_d1": ("0.2", "0.1", "0.05", "0.025"),
+    "quasineutral_d2": ("0.2", "0.1"),
+}
+# Baseline key -> (scenario, extra `simulate` arguments).
+SIMULATIONS = {
+    "energy_d1/poisson": ("energy_d1", ["--field-mode", "poisson"]),
+    "energy_d1/monge_ampere": ("energy_d1", ["--field-mode", "monge_ampere"]),
+    "quasineutral_d1": ("quasineutral_d1", []),
+}
 
 
 def sample(csv_path: Path) -> dict:
@@ -64,20 +61,19 @@ def main() -> int:
     trajectories = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        for name in ("sweep_quasineutral_d1", "quasineutral_d2"):
+        for name, epsilons in SWEEPS.items():
             cfg = str(SCENARIOS / f"{name}.cfg")
             if cli_main(["sweep", "--config", cfg, "--output", str(out / name)]) != 0:
                 return 1
-        for key, extra, csv_name in RUNS:
-            scenario = key.split("/")[0]
-            if extra is not None:
-                cfg = str(SCENARIOS / f"{scenario}.cfg")
-                argv = ["simulate", "--config", cfg, "--output", str(out / key)]
-                if cli_main(argv + extra) != 0:
-                    return 1
-                trajectories[key] = sample(out / key / csv_name)
-            else:
-                trajectories[key] = sample(out / scenario / csv_name)
+            for eps in epsilons:
+                csv_path = out / name / f"eps_{eps}" / "diagnostics.csv"
+                trajectories[f"{name}/eps={eps}"] = sample(csv_path)
+        for key, (name, extra) in SIMULATIONS.items():
+            cfg = str(SCENARIOS / f"{name}.cfg")
+            argv = ["simulate", "--config", cfg, "--output", str(out / key)]
+            if cli_main(argv + extra) != 0:
+                return 1
+            trajectories[key] = sample(out / key / "diagnostics.csv")
     payload = {"stride": STRIDE, "columns": list(COLUMNS), "trajectories": trajectories}
     Path(args.output).write_text(json.dumps(payload, indent=1) + "\n")
     print(f"wrote {args.output}: {len(trajectories)} trajectories", file=sys.stderr)

@@ -20,13 +20,8 @@ from quasikin.collision import (
     post_collision_velocities,
 )
 from quasikin.config import load_config
-from quasikin.diagnostics import CSV_COLUMNS, k_functional_check
-from quasikin.euler import (
-    EulerReference,
-    initial_velocity,
-    kinetic_energy,
-    solve_euler,
-)
+from quasikin.diagnostics import CSV_COLUMNS, k_functional_check, relative_energy_drift
+from quasikin.euler import initial_velocity, kinetic_energy, solve_euler
 from quasikin.grids import (
     PhaseField,
     TorusGrid,
@@ -48,7 +43,6 @@ from quasikin.vlasov import (
     WellPreparedIC,
     advect_x,
     make_initial_condition,
-    reference_flow,
     run,
 )
 
@@ -60,30 +54,16 @@ def _verdict(number: int, passed: bool, detail: str) -> None:
     assert passed, f"criterion {number}: {detail}"
 
 
-def _run_scenario(config, epsilon=None, field_mode=None):
-    params = config.make_params(epsilon, field_mode=field_mode)
-    reference = None
-    if config.euler_reference:
-        x_grid = params.x_grid()
-        reference = EulerReference(x_grid, reference_flow(params.ic, x_grid), params.dt)
-    return run(params, euler_reference=reference)
-
-
-def _relative_drift(trajectory) -> float:
-    e0 = trajectory.records[0].e_total
-    return max(abs(r.e_total - e0) for r in trajectory.records) / abs(e0)
-
-
 @pytest.fixture(scope="module")
 def d1_sweep():
     config = load_config(SCENARIOS / "sweep_quasineutral_d1.cfg")
-    return [(eps, _run_scenario(config, eps)) for eps in config.sweep_epsilons]
+    return [(eps, run(config.make_params(eps))) for eps in config.sweep_epsilons]
 
 
 @pytest.fixture(scope="module")
 def d2_spot():
     config = load_config(SCENARIOS / "quasineutral_d2.cfg")
-    return [(eps, _run_scenario(config, eps)) for eps in config.sweep_epsilons]
+    return [(eps, run(config.make_params(eps))) for eps in config.sweep_epsilons]
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +72,7 @@ def d2_mode_drift():
     table = []
     for eps in config.sweep_epsilons:
         drifts = {
-            mode: _relative_drift(_run_scenario(config, eps, field_mode=mode))
+            mode: relative_energy_drift(run(config.make_params(eps, field_mode=mode)).records)
             for mode in ("poisson", "monge_ampere")
         }
         table.append((eps, drifts))
@@ -103,7 +83,7 @@ def d2_mode_drift():
 def energy_d1_runs():
     config = load_config(SCENARIOS / "energy_d1.cfg")
     return {
-        mode: _run_scenario(config, field_mode=mode)
+        mode: run(config.make_params(field_mode=mode))
         for mode in ("poisson", "monge_ampere")
     }
 
@@ -215,8 +195,8 @@ def test_criterion_05_determinant_mean():
 
 
 def test_criterion_06_energy_conservation(energy_d1_runs, d2_mode_drift):
-    drift_p = _relative_drift(energy_d1_runs["poisson"])
-    drift_m = _relative_drift(energy_d1_runs["monge_ampere"])
+    drift_p = relative_energy_drift(energy_d1_runs["poisson"].records)
+    drift_m = relative_energy_drift(energy_d1_runs["monge_ampere"].records)
     eps_list = np.array([eps for eps, _ in d2_mode_drift])
     excess = np.array(
         [abs(d["monge_ampere"] - d["poisson"]) for _, d in d2_mode_drift]

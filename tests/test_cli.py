@@ -113,6 +113,12 @@ class TestConfig:
             config = load_config(root / name)
             config.make_params()  # must validate cleanly
 
+    def test_euler_reference_reaches_params(self, tiny_cfg, tmp_path):
+        assert load_config(tiny_cfg).make_params().euler_reference is False
+        path = tmp_path / "sweep.cfg"
+        path.write_text(TINY_SWEEP)
+        assert load_config(path).make_params(0.4).euler_reference is True
+
     def test_parsed_fields(self, tiny_cfg):
         config = load_config(tiny_cfg)
         assert config.name == "tiny"
@@ -281,6 +287,28 @@ class TestEulerVerb:
         energies = [float(l.split(",")[1]) for l in lines[1:]]
         assert len(energies) == 6
         assert max(abs(e - energies[0]) for e in energies) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--n", "7"], "even"),
+            (["--n", "0"], "even"),
+            (["--dimension", "3"], "dimension"),
+            (["--dt", "-1"], "--dt > 0"),
+            (["--dt", "0"], "--dt > 0"),
+            (["--dt", "nan"], "finite"),
+            (["--t-end", "-0.5"], "--t-end >= 0"),
+            (["--amplitude", "inf"], "finite"),
+            (["--dimension", "1", "--kind", "random_bandlimited"], "requires dimension 2"),
+            (["--dimension", "1", "--kind", "taylor_green"], "requires dimension 2"),
+        ],
+    )
+    def test_argument_errors_exit_2(self, tmp_path, capsys, extra, message):
+        argv = ["euler", "--n", "16", "--t-end", "0.01", "--output", str(tmp_path / "e")]
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert not (tmp_path / "e").exists()
 
 
 class TestCheckVerb:

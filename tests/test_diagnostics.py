@@ -30,6 +30,7 @@ from quasikin.diagnostics import (
     modulated_energy,
     moment_residuals,
     quasineutrality_norm,
+    relative_energy_drift,
     total_energy,
 )
 from quasikin.grids import (
@@ -43,6 +44,7 @@ from quasikin.grids import (
     random_bandlimited_field,
     spectral_gradient,
 )
+from quasikin.checks import modulated_energy_defect
 from quasikin.monge_ampere import Potential
 
 
@@ -108,6 +110,22 @@ class TestModulatedEnergy:
         rng = np.random.default_rng(2)
         u = np.stack([random_bandlimited_field(grid, 2, rng) for _ in range(2)])
         assert modulated_energy(f, None, u) >= 0.0
+
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_moment_expansion_matches_direct_sum(self, seed, d):
+        # The moment expansion must equal (1/2) sum |xi - u|^2 f to roundoff
+        # on any state, including ones with zeros and a skewed reference.
+        rng = np.random.default_rng(seed)
+        x_grid = TorusGrid(d, 8 if d == 2 else 16)
+        v_grid = VelocityGrid(d, 16 if d == 2 else 48, rng.uniform(1.0, 6.0))
+        values = rng.random(x_grid.shape + v_grid.shape) * rng.uniform(0.0, 10.0)
+        values[values < 0.1 * values.max()] = 0.0
+        f = PhaseField(x_grid, v_grid, values, 0.0)
+        u = rng.normal() + np.stack(
+            [random_bandlimited_field(x_grid, 3, rng, amplitude=2.0) for _ in range(d)]
+        )
+        assert modulated_energy_defect(f, u) <= 1e-12
 
 
 class TestHFunctional:
@@ -391,6 +409,29 @@ class TestDiagnosticsRecord:
         with pytest.raises(ValueError, match="e_total"):
             self.make_record(e_total=0.8)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mass", np.nan),
+            ("e_kinetic", np.inf),
+            ("momentum", (0.1, -np.inf)),
+            ("quasineutrality", np.nan),
+            ("current_error_divfree", np.nan),
+            ("clipped_mass", -np.inf),
+            ("field_residual", np.inf),
+        ],
+    )
+    def test_non_finite_fields_rejected(self, field, value):
+        overrides = {field: value}
+        if field == "e_kinetic":
+            overrides["e_total"] = np.inf
+        with pytest.raises(ValueError, match=rf"non-finite {field} = .* at t = 0\.25"):
+            self.make_record(**overrides)
+
+    def test_nan_energies_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            self.make_record(mass=np.nan, e_kinetic=np.nan, e_total=np.nan)
+
     def test_mismatch_bound_enforced(self):
         with pytest.raises(ValueError, match="mismatch"):
             self.make_record(mismatch=0.5, modulated=0.3)
@@ -412,3 +453,14 @@ class TestDiagnosticsRecord:
         assert record.current_error_raw is not None
         row = record.to_csv_row()
         assert row.split(",")[13] == ""  # no solver report attached
+
+
+def test_relative_energy_drift():
+    base = TestDiagnosticsRecord().make_record
+    records = [
+        base(e_kinetic=0.5, e_total=0.75),
+        base(e_kinetic=0.5 + 3e-4, e_total=0.75 + 3e-4),
+        base(e_kinetic=0.5 - 6e-4, e_total=0.75 - 6e-4),
+    ]
+    assert relative_energy_drift(records) == pytest.approx(6e-4 / 0.75, rel=1e-9)
+    assert relative_energy_drift(records[:1]) == 0.0

@@ -19,6 +19,7 @@ from quasikin.euler import (
     initial_velocity,
     kinetic_energy,
     leray_project,
+    pressure,
     solve_euler,
 )
 from quasikin.grids import (
@@ -96,13 +97,7 @@ class TestEulerState:
         x, _ = grid.coords()
         u = np.stack([np.sin(2 * np.pi * x), 0.0 * x])
         with pytest.raises(ValueError, match="divergence"):
-            EulerState(grid, u, np.zeros(grid.shape))
-
-    def test_rejects_biased_pressure(self):
-        grid = TorusGrid(2, 16)
-        u = initial_velocity(grid, "taylor_green")
-        with pytest.raises(ValueError, match="zero mean"):
-            EulerState(grid, u, np.ones(grid.shape))
+            EulerState(grid, u)
 
     def test_ingest_projects_raw_field(self):
         grid = TorusGrid(2, 16)
@@ -110,7 +105,20 @@ class TestEulerState:
         raw = np.stack([np.sin(2 * np.pi * x) + np.sin(2 * np.pi * y), 0.0 * x])
         state = EulerState.from_velocity(grid, raw)
         assert np.abs(spectral_divergence(grid, state.u)).max() <= 1e-10
-        assert abs(state.p.mean()) <= 1e-12
+        assert abs(pressure(state).mean()) <= 1e-12
+
+    def test_taylor_green_pressure(self):
+        # (u . grad)u = pi (sin(4 pi x), sin(4 pi y)) = -grad p for
+        # p = (cos(4 pi x) + cos(4 pi y)) / 4.
+        grid = TorusGrid(2, 32)
+        x, y = grid.coords()
+        state = EulerState.from_velocity(grid, initial_velocity(grid, "taylor_green"))
+        expected = 0.25 * (np.cos(4 * np.pi * x) + np.cos(4 * np.pi * y))
+        assert np.abs(pressure(state) - expected).max() <= 1e-12
+
+    def test_random_bandlimited_requires_two_dimensions(self):
+        with pytest.raises(ValueError, match="requires dimension 2"):
+            initial_velocity(TorusGrid(1, 32), "random_bandlimited")
 
 
 class TestEulerStep:
@@ -154,6 +162,16 @@ class TestEulerStep:
         state = EulerState.from_velocity(grid, 0.7 * np.ones((1, 16)))
         stepped = euler_step(state, 0.01)
         assert np.abs(stepped.u - 0.7).max() <= 1e-14
+        assert np.array_equal(stepped.u, state.u) and stepped.u is not state.u
+        assert stepped.time == 0.01
+
+    def test_one_dimensional_step_keeps_its_checks(self):
+        grid = TorusGrid(1, 16)
+        state = EulerState.from_velocity(grid, 2.0 * np.ones((1, 16)))
+        with pytest.raises(ValueError, match="positive"):
+            euler_step(state, 0.0)
+        with pytest.raises(CflViolationError):
+            euler_step(state, 1.5 * 0.5 * grid.h_x / 2.0)
 
 
 class TestSolveEuler:

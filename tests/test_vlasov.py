@@ -28,7 +28,6 @@ from quasikin.vlasov import (
     make_initial_condition,
     observe,
     run,
-    strang_step,
 )
 
 
@@ -226,16 +225,19 @@ class TestStrangStep:
             t_end=2e-3,
         )
         f = make_initial_condition(params.ic, params.x_grid(), params.v_grid(), 0.1)
-        g, _, record = strang_step(f, params)
+        trajectory = run(params)
+        g, record = trajectory.final, trajectory.records[-1]
         assert np.abs(g.values - f.values).max() <= 1e-10 * f.values.max()
         assert record.t == pytest.approx(params.dt)
 
     def test_mass_conserved_per_step(self):
-        params = d1_params()
+        params = d1_params(t_end=5e-4)  # one step
         f = make_initial_condition(
             params.ic, params.x_grid(), params.v_grid(), params.epsilon
         )
-        g, _, record = strang_step(f, params)
+        trajectory = run(params)
+        g, record = trajectory.final, trajectory.records[-1]
+        assert len(trajectory.records) == 2
         assert abs(g.mass() - f.mass()) <= 1e-8 * f.mass()
         assert record.clipped_mass <= 1e-8
 
@@ -326,6 +328,15 @@ class TestRun:
             assert abs(record.mass - 1.0) <= 1e-8
             assert record.clipped_mass <= 1e-6
         assert trajectory.final.values.min() >= 0.0
+
+    def test_euler_reference_fills_current_errors(self):
+        plain = run(d1_params(t_end=2e-3))
+        coupled = run(d1_params(t_end=2e-3, euler_reference=True))
+        assert all(r.current_error_divfree is None for r in plain.records)
+        assert all(r.current_error_divfree is not None for r in coupled.records)
+        # The reference is the initial bulk flow, so at t = 0 the filtered
+        # current matches it to roundoff.
+        assert coupled.records[0].current_error_divfree <= 1e-10
 
     def test_snapshot_cadence(self):
         params = d1_params(dt=5e-3, t_end=0.05, snapshot_stride=3)
