@@ -224,7 +224,7 @@ def _sweep_columns(config: RunConfig) -> list:
 
 
 def cmd_euler(args) -> int:
-    from .euler import initial_velocity, kinetic_energy
+    from .euler import EulerState, cfl_bound, initial_velocity, kinetic_energy
     from .grids import spectral_divergence
 
     if not (0.0 < args.dt < np.inf and 0.0 <= args.t_end < np.inf
@@ -241,6 +241,11 @@ def cmd_euler(args) -> int:
         u0 = initial_velocity(grid, args.kind, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # A dt the first step would reject is a configuration error; a flow
+    # that speeds up past the bound later is a runtime one.
+    bound = cfl_bound(EulerState.from_velocity(grid, u0))
+    if args.dt > bound:
+        raise ConfigError(f"--dt {args.dt:g} exceeds the CFL bound {bound:g} of the initial flow")
     n_steps = round(args.t_end / args.dt)
     if abs(n_steps * args.dt - args.t_end) > 1e-8 * max(1.0, args.t_end):
         raise ConfigError("t_end must be an integer number of steps")

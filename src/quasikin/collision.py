@@ -29,6 +29,7 @@ kinetic energy) by construction rather than by accident of resolution:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,8 +98,12 @@ def post_collision_velocities(xi, xi1, sigma) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def _features(v_grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened node coordinates (K, d) and collision invariants (K, d+2)."""
+    """Flattened node coordinates (K, d) and collision invariants (K, d+2).
+
+    Cached per grid and read-only.
+    """
     mesh = v_grid.node_mesh()
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     k = nodes.shape[0]
@@ -106,7 +111,64 @@ def _features(v_grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
     feats[:, 0] = 1.0
     feats[:, 1 : 1 + v_grid.dimension] = nodes
     feats[:, -1] = (nodes**2).sum(axis=1)
+    nodes.flags.writeable = False
+    feats.flags.writeable = False
     return nodes, feats
+
+
+def _axis_factors(nodes, log_a, u, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Centred nodes x = xi_a - u_a and the factors of the Gaussian.
+
+    exp(log_a - |x|^2 / 2 theta) = prod_a g_a with
+    g_a = exp(log_a / d - x_a^2 / 2 theta); both arrays are (m, d, n_v).
+    Each factor keeps a share of the amplitude in its exponent, so a
+    factor underflows only where the Gaussian itself does.
+    """
+    d = u.shape[1]
+    x = nodes[None, None, :] - u[:, :, None]
+    g = x**2
+    g /= 2.0 * theta[:, None, None]
+    np.subtract((log_a / d)[:, None, None], g, out=g)
+    return x, np.exp(g, out=g)
+
+
+def _basis_gram(x: np.ndarray, g: np.ndarray, weight: float) -> np.ndarray:
+    """sum_k B_i B_j M h_v^d for B = (1, x_1..x_d, |x|^2), shape (m, d+2, d+2).
+
+    M = prod_a g_a is a product over axes, so the moment of a monomial
+    prod_a x_a^p_a is h_v^d prod_a sum_k g_a x_a^p_a, and every entry comes
+    from the per-axis power sums (p <= 4).
+    """
+    m, d, _ = g.shape
+    sums = np.empty((m, d, 5))
+    term = g.copy()
+    for p in range(5):
+        sums[..., p] = term.sum(axis=-1)
+        term *= x
+    table = weight * sums[:, 0]  # (m, 5): monomial moments in x_1
+    if d == 2:
+        table = table[:, :, None] * sums[:, 1, None, :]  # (m, 5, 5)
+    return (table.reshape(m, -1) @ _gram_map(d)).reshape(m, d + 2, d + 2)
+
+
+@lru_cache(maxsize=2)
+def _gram_map(d: int) -> np.ndarray:
+    """Counts C with gram = monomial moments @ C, shape (5^d, (d+2)^2).
+
+    Entry (i, j) of the Gram matrix is the sum of the moments of the
+    monomials in B_i B_j; each basis function is a list of exponents.
+    """
+    unit = np.eye(d, dtype=int)
+    basis = [[np.zeros(d, dtype=int)]] + [[e] for e in unit] + [list(2 * unit)]
+    counts = np.zeros((5,) * d + (d + 2, d + 2))
+    for i in range(d + 2):
+        for j in range(d + 2):
+            for p in basis[i]:
+                for q in basis[j]:
+                    counts[tuple(p + q) + (i, j)] += 1.0
+    counts = counts.reshape(5**d, (d + 2) ** 2)
+    counts.flags.writeable = False
+    return counts
 
 
 def match_discrete_maxwellian(
@@ -125,20 +187,23 @@ def match_discrete_maxwellian(
     relative accuracy ``rtol``.  Nodes with rho = 0 get the zero function.
     Raises CollisionMomentError (with the worst node index) for
     non-realizable moments or a stalled parameter solve.
+
+    The Gaussian exp(log_a - |xi - u|^2 / 2 theta) is a product of per-axis
+    factors, so each Newton iteration needs only per-axis power sums; the
+    phase-space Maxwellian is formed once, at convergence.
     """
     d = v_grid.dimension
     rho = np.asarray(rho, dtype=float)
     current = np.asarray(current, dtype=float).reshape(len(rho), d)
     energy2 = np.asarray(energy2, dtype=float)
     m = len(rho)
-    out = np.zeros((m,) + v_grid.shape)
 
     active = rho > 0.0
     if np.any(rho < 0.0):
         node = int(np.argmin(rho))
         raise CollisionMomentError(f"negative density at node {node}: {rho[node]:g}")
     if not np.any(active):
-        return out
+        return np.zeros((m,) + v_grid.shape)
     idx = np.nonzero(active)[0]
     r = rho[idx]
     j = current[idx]
@@ -152,28 +217,36 @@ def match_discrete_maxwellian(
             f"non-realizable moments at node {bad}: inferred temperature <= 0"
         )
 
-    nodes, feats = _features(v_grid)  # (K, d), (K, d+2)
-    w = v_grid.weight
+    nodes = v_grid.axis_nodes()
     targets = np.concatenate([r[:, None], j, e2[:, None]], axis=1)  # (m', d+2)
     scale = np.maximum(np.abs(targets), r[:, None] * np.maximum(1.0, theta)[:, None])
 
     log_a = np.log(r) - 0.5 * d * np.log(2.0 * np.pi * theta)
 
     for _ in range(max_iter):
-        diff = nodes[None, :, :] - u[:, None, :]  # (m', K, d)
-        q = (diff**2).sum(axis=2)
-        vals = np.exp(log_a[:, None] - q / (2.0 * theta[:, None]))  # (m', K)
-        mom = (vals @ feats) * w  # (m', d+2)
-        resid = mom - targets
+        x, g = _axis_factors(nodes, log_a, u, theta)
+        gram = _basis_gram(x, g, v_grid.weight)
+        # The invariants (1, xi, |xi|^2) in the basis B, with xi = x + u.
+        jac = np.empty_like(gram)
+        jac[:, 0] = gram[:, 0]
+        jac[:, 1 : 1 + d] = u[:, :, None] * gram[:, None, 0] + gram[:, 1 : 1 + d]
+        jac[:, -1] = (
+            (u**2).sum(axis=1)[:, None] * gram[:, 0]
+            + 2.0 * np.einsum("mb,mbj->mj", u, gram[:, 1 : 1 + d])
+            + gram[:, -1]
+        )
+        # Jacobian of the moment map wrt (log_a, u, theta): the derivatives
+        # of log M are (1, x / theta, |x|^2 / (2 theta^2)) in the basis B.
+        jac[:, :, 1 : 1 + d] /= theta[:, None, None]
+        jac[:, :, -1] /= 2.0 * theta[:, None] ** 2
+        resid = jac[:, :, 0] - targets
         if float(np.abs(resid / scale).max()) <= rtol:
-            out[idx] = vals.reshape((len(idx),) + v_grid.shape)
-            return out
-        # Jacobian of the moment map wrt (log_a, u, theta)
-        dlog = np.empty(vals.shape + (d + 2,))
-        dlog[..., 0] = 1.0
-        dlog[..., 1 : 1 + d] = diff / theta[:, None, None]
-        dlog[..., -1] = q / (2.0 * theta[:, None] ** 2)
-        jac = np.einsum("ki,mk,mkj->mij", feats, vals, dlog) * w
+            # Zero factors at the rho = 0 nodes give their zero function.
+            factors = np.zeros((m, d, v_grid.n_v))
+            factors[idx] = g
+            if d == 1:
+                return factors[:, 0]
+            return factors[:, 0, :, None] * factors[:, 1, None, :]
         try:
             step = np.linalg.solve(jac, -resid[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -211,11 +284,15 @@ def bgk_collide(f: PhaseField, tau: float, dt: float) -> PhaseField:
     rho = macro.rho.reshape(m)
     cur = np.stack([macro.current[a].reshape(m) for a in range(d)], axis=1)
     e2 = 2.0 * macro.e_kin.reshape(m)
-    maxw = match_discrete_maxwellian(f.v_grid, rho, cur, e2)
-    maxw = maxw.reshape(spatial + f.v_grid.shape)
+    values = match_discrete_maxwellian(f.v_grid, rho, cur, e2)
     decay = float(np.exp(-dt / tau))
-    values = decay * f.values + (1.0 - decay) * maxw
-    return PhaseField(f.x_grid, f.v_grid, values, f.time)
+    # Blend in place, one spatial row at a time in 2-d, so the only
+    # phase-space arrays are f and the result.
+    values *= 1.0 - decay
+    lead = f.x_grid.n_x if d == 2 else 1
+    for out_row, f_row in zip(values.reshape(lead, -1), f.values.reshape(lead, -1)):
+        out_row += decay * f_row
+    return PhaseField(f.x_grid, f.v_grid, values.reshape(spatial + f.v_grid.shape), f.time)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "band_limit",
     "leray_project",
     "initial_velocity",
+    "cfl_bound",
     "euler_step",
     "pressure",
     "solve_euler",
@@ -138,6 +139,12 @@ def kinetic_energy(state: EulerState) -> float:
     return 0.5 * grid_integral(state.grid, (state.u**2).sum(axis=0))
 
 
+def cfl_bound(state: EulerState) -> float:
+    """Largest dt euler_step accepts from this state (inf for a flow at rest)."""
+    speed = state.max_speed()
+    return CFL_NUMBER * state.grid.h_x / speed if speed > 0.0 else np.inf
+
+
 def euler_step(state: EulerState, dt: float) -> EulerState:
     """One RK4 step of du/dt = -P((u . grad)u); enforces CFL 0.5.
 
@@ -146,11 +153,11 @@ def euler_step(state: EulerState, dt: float) -> EulerState:
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    speed = state.max_speed()
-    if speed > 0.0 and dt > CFL_NUMBER * grid.h_x / speed:
+    bound = cfl_bound(state)
+    if dt > bound:
         raise CflViolationError(
-            f"dt = {dt:g} exceeds CFL bound {CFL_NUMBER * grid.h_x / speed:g} "
-            f"(h_x = {grid.h_x:g}, max speed = {speed:g})"
+            f"dt = {dt:g} exceeds CFL bound {bound:g} "
+            f"(h_x = {grid.h_x:g}, max speed = {state.max_speed():g})"
         )
     if grid.dimension == 1:
         return EulerState(grid, state.u.copy(), state.time + dt)

@@ -6,13 +6,15 @@ cell-centered nodes and uniform midpoint weights ``h_v^d``.  Differential
 operators are pseudo-spectral: exact for band-limited data, with the Nyquist
 mode zeroed on odd derivatives.
 
-Reductions go through numpy, whose pairwise summation has a fixed order;
-the velocity kick applies its spline operator as a BLAS matrix product.
-What is promised: runs are bit-reproducible for the same build, input and
-thread count.  What is checked beyond that: tests/test_thread_determinism.py
-shows byte-identical diagnostics at 1 and 2 threads on a 2-d scenario with
-OpenBLAS 0.3.31.  Other BLAS builds may split their sums differently across
-threads.
+Velocity moments are BLAS matrix products against a cached feature matrix
+(stacked over the first spatial axis in 2-d); the velocity kick applies its
+spline operator and the BGK match its small Newton systems through BLAS
+and LAPACK as well.  Other reductions go through numpy, whose pairwise
+summation has a fixed order.  What is promised: runs are bit-reproducible
+for the same build, input and thread count.  What is checked beyond that:
+tests/test_thread_determinism.py shows byte-identical diagnostics at 1 and
+2 threads on a 2-d and a 1-d BGK scenario with OpenBLAS 0.3.31.  Other BLAS
+builds may split their sums differently across threads.
 """
 
 from __future__ import annotations
@@ -233,6 +235,33 @@ class MacroFields:
         return float(self.e_kin.sum()) * self.grid.cell_volume
 
 
+@lru_cache(maxsize=32)
+def _feature_matrix(v_grid: VelocityGrid) -> np.ndarray:
+    """Velocity features times h_v^d, shape (n_v^d, K), read-only.
+
+    Columns: 1, xi_a (a < d), |xi|^2/2, then xi_a xi_b for a <= b, so the
+    first d + 2 columns give (rho, J, e_kin) and the rest the stress.
+    """
+    mesh = [m.ravel() for m in v_grid.node_mesh()]
+    d = v_grid.dimension
+    columns = [np.ones_like(mesh[0])] + mesh + [0.5 * v_grid.speed_squared().ravel()]
+    columns += [mesh[a] * mesh[b] for a in range(d) for b in range(a, d)]
+    return _read_only(np.stack(columns, axis=1) * v_grid.weight)
+
+
+def _feature_moments(f: PhaseField, columns: slice) -> np.ndarray:
+    """Moments of f against a column slice of the feature matrix.
+
+    Returns shape (n_columns,) + spatial.  In 2-d the product is stacked
+    over the first spatial axis: each BLAS call is then small enough to run
+    on one thread.
+    """
+    feats = _feature_matrix(f.v_grid)[:, columns]
+    lead = f.x_grid.n_x if f.dimension == 2 else 1
+    out = f.values.reshape(lead, -1, feats.shape[0]) @ feats
+    return np.moveaxis(out.reshape(f.x_grid.shape + (feats.shape[1],)), -1, 0)
+
+
 def moments(f: PhaseField) -> MacroFields:
     """Discrete velocity moments (rho, J, e_kin) with midpoint weights.
 
@@ -241,29 +270,19 @@ def moments(f: PhaseField) -> MacroFields:
     e_kin[j]= (1/2) sum_k |xi_k|^2 f[j,k] h_v^d
     """
     d = f.dimension
-    w = f.v_grid.weight
-    vaxes = tuple(range(d, 2 * d))
-    rho = f.values.sum(axis=vaxes) * w
-    mesh = f.v_grid.node_mesh()
-    current = np.empty((d,) + f.x_grid.shape)
-    for a in range(d):
-        current[a] = (f.values * mesh[a]).sum(axis=vaxes) * w
-    e_kin = 0.5 * (f.values * f.v_grid.speed_squared()).sum(axis=vaxes) * w
-    return MacroFields(f.x_grid, rho, current, e_kin)
+    m = _feature_moments(f, slice(0, d + 2))
+    # Separate arrays: a history that keeps rho keeps nothing else.
+    return MacroFields(f.x_grid, m[0].copy(), m[1 : 1 + d].copy(), m[d + 1].copy())
 
 
 def stress_moments(f: PhaseField) -> np.ndarray:
     """Second moments S_ab = sum_k xi_a xi_b f h_v^d, shape (d, d) + spatial."""
     d = f.dimension
-    w = f.v_grid.weight
-    vaxes = tuple(range(d, 2 * d))
-    mesh = f.v_grid.node_mesh()
+    pairs = iter(_feature_moments(f, slice(d + 2, None)))
     out = np.empty((d, d) + f.x_grid.shape)
     for a in range(d):
         for b in range(a, d):
-            s = (f.values * (mesh[a] * mesh[b])).sum(axis=vaxes) * w
-            out[a, b] = s
-            out[b, a] = s
+            out[a, b] = out[b, a] = next(pairs)
     return out
 
 

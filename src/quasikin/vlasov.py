@@ -506,7 +506,14 @@ def _advance(
 
 @dataclass
 class Trajectory:
-    """Per-step diagnostics plus moment histories and sparse snapshots."""
+    """Per-step diagnostics plus moment histories and sparse snapshots.
+
+    With ``snapshot_stride > 0``, ``snapshots`` holds copies of the state at
+    step 0, at every multiple of the stride and at the last step.  With a
+    stride of 0 it holds only the final state (the ``final`` object itself,
+    the initial state for a zero-step run).  ``snapshot_steps`` gives the
+    step of each snapshot.
+    """
 
     params: SimulationParams
     records: list[DiagnosticsRecord]
@@ -527,8 +534,9 @@ def run(params: SimulationParams) -> Trajectory:
     ``params.euler_reference`` an Euler reference starts from the initial
     flow, steps with ``params.dt`` and is co-advanced to each record time;
     the records then include the current-error columns and the modulated
-    energy is taken against the reference flow.  Deterministic: identical
-    params give bit-identical trajectories.
+    energy is taken against the reference flow.  Snapshots follow
+    ``params.snapshot_stride`` (see Trajectory); a stride of 0 copies no
+    state.  Deterministic: identical params give bit-identical trajectories.
     """
     x_grid = params.x_grid()
     v_grid = params.v_grid()
@@ -559,21 +567,23 @@ def run(params: SimulationParams) -> Trajectory:
         else:
             frc_h.append(obs.macro.rho * obs.potential.grad)
 
+    stride = params.snapshot_stride
     observe_and_store(f, 0.0, None)
-    snapshots.append(f.copy())
-    snapshot_steps.append(0)
+    if stride > 0:
+        snapshots.append(f.copy())
+        snapshot_steps.append(0)
 
     n = params.n_steps
     for k in range(1, n + 1):
         f, clipped, report = _advance(f, params)
         f.time = k * params.dt
         observe_and_store(f, clipped, report)
-        want_snapshot = k == n or (
-            params.snapshot_stride > 0 and k % params.snapshot_stride == 0
-        )
-        if want_snapshot:
+        if stride > 0 and (k == n or k % stride == 0):
             snapshots.append(f.copy())
             snapshot_steps.append(k)
+    if stride == 0:
+        snapshots.append(f)
+        snapshot_steps.append(n)
 
     return Trajectory(
         params=params,

@@ -17,6 +17,7 @@ import pytest
 
 from quasikin.cli import main
 from quasikin.config import ConfigError, Schedule, load_config
+from quasikin.grids import TorusGrid
 from quasikin.diagnostics import DiagnosticsRecord
 
 TINY = """\
@@ -301,6 +302,8 @@ class TestEulerVerb:
             (["--amplitude", "inf"], "finite"),
             (["--dimension", "1", "--kind", "random_bandlimited"], "requires dimension 2"),
             (["--dimension", "1", "--kind", "taylor_green"], "requires dimension 2"),
+            (["--dt", "0.5"], "CFL bound"),
+            (["--dimension", "1", "--kind", "constant", "--dt", "0.05"], "CFL bound"),
         ],
     )
     def test_argument_errors_exit_2(self, tmp_path, capsys, extra, message):
@@ -309,6 +312,25 @@ class TestEulerVerb:
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
         assert not (tmp_path / "e").exists()
+
+    def test_dt_at_the_cfl_bound_runs(self, tmp_path):
+        # constant flow of speed 1 on n = 16: the bound is 0.5 / 16
+        argv = ["euler", "--dimension", "1", "--kind", "constant", "--n", "16",
+                "--t-end", "0.0625", "--output", str(tmp_path / "e")]
+        assert main(argv + ["--dt", "0.03125"]) == 0
+
+    def test_cfl_violation_during_the_run_exits_3(self, tmp_path, capsys):
+        # This flow speeds up: a dt exactly at its initial bound passes the
+        # argument check and fails at the second step.
+        from quasikin.euler import EulerState, cfl_bound, initial_velocity
+
+        grid = TorusGrid(2, 16)
+        u0 = initial_velocity(grid, "random_bandlimited", amplitude=1.0, seed=0)
+        dt = cfl_bound(EulerState.from_velocity(grid, u0))
+        argv = ["euler", "--n", "16", "--kind", "random_bandlimited", "--seed", "0",
+                "--dt", repr(dt), "--t-end", repr(10 * dt), "--output", str(tmp_path / "e")]
+        assert main(argv) == 3
+        assert "CflViolationError" in capsys.readouterr().err
 
 
 class TestCheckVerb:

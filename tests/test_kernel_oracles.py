@@ -3,19 +3,31 @@
 The velocity kick used to solve the natural-spline system row by row with a
 banded solver and to gather its stencil with take_along_axis; the x-stream
 rebuilt its spline transfer on every call and transformed with complex
-FFTs.  Those implementations are kept below unchanged as oracles.  The
-rewritten kernels change only the order of floating-point operations, so
-they must agree to 1e-13 of max|f| (about 450 ulps), report the same
-clipped mass to the same relative accuracy, and still reproduce a state
-bitwise under a zero shift.
+FFTs.  The velocity moments were numpy sums of f times each feature over
+the velocity axes, and the BGK match ran its Newton iteration on the full
+(nodes, velocity grid) Gaussian.  Those implementations are kept below
+unchanged as oracles.  The rewritten kernels change only the order of
+floating-point operations, so they must agree to 1e-13 of the largest
+value (about 450 ulps), report the same clipped mass to the same relative
+accuracy, still reproduce a state bitwise under a zero shift, and fail on
+the same nodes with the same messages.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_banded
 
-from quasikin.grids import PhaseField, TorusGrid, VelocityGrid
+from quasikin.collision import CollisionMomentError, _features, match_discrete_maxwellian
+from quasikin.grids import (
+    PhaseField,
+    TorusGrid,
+    VelocityGrid,
+    _feature_matrix,
+    moments,
+    stress_moments,
+)
 from quasikin.vlasov import _b3, _clip_negative, _stream_transfer, advect_v, advect_x
 
 RTOL = 1e-13
@@ -108,6 +120,110 @@ def oracle_advect_x(f: PhaseField, dt: float):
     values = values.copy() if values is f.values else values
     clipped = _clip_negative(values, f.phase_volume)
     return values, clipped
+
+
+def oracle_moments(f: PhaseField):
+    """(rho, J, e_kin) as numpy sums over the velocity axes."""
+    d = f.dimension
+    w = f.v_grid.weight
+    vaxes = tuple(range(d, 2 * d))
+    rho = f.values.sum(axis=vaxes) * w
+    mesh = f.v_grid.node_mesh()
+    current = np.empty((d,) + f.x_grid.shape)
+    for a in range(d):
+        current[a] = (f.values * mesh[a]).sum(axis=vaxes) * w
+    e_kin = 0.5 * (f.values * f.v_grid.speed_squared()).sum(axis=vaxes) * w
+    return rho, current, e_kin
+
+
+def oracle_stress_moments(f: PhaseField) -> np.ndarray:
+    d = f.dimension
+    w = f.v_grid.weight
+    vaxes = tuple(range(d, 2 * d))
+    mesh = f.v_grid.node_mesh()
+    out = np.empty((d, d) + f.x_grid.shape)
+    for a in range(d):
+        for b in range(a, d):
+            s = (f.values * (mesh[a] * mesh[b])).sum(axis=vaxes) * w
+            out[a, b] = s
+            out[b, a] = s
+    return out
+
+
+def oracle_match_discrete_maxwellian(
+    v_grid: VelocityGrid,
+    rho: np.ndarray,
+    current: np.ndarray,
+    energy2: np.ndarray,
+    rtol: float = 1e-13,
+    max_iter: int = 60,
+) -> np.ndarray:
+    """Newton on (log amplitude, u, theta) over the full Gaussian per node."""
+    d = v_grid.dimension
+    rho = np.asarray(rho, dtype=float)
+    current = np.asarray(current, dtype=float).reshape(len(rho), d)
+    energy2 = np.asarray(energy2, dtype=float)
+    m = len(rho)
+    out = np.zeros((m,) + v_grid.shape)
+
+    active = rho > 0.0
+    if np.any(rho < 0.0):
+        node = int(np.argmin(rho))
+        raise CollisionMomentError(f"negative density at node {node}: {rho[node]:g}")
+    if not np.any(active):
+        return out
+    idx = np.nonzero(active)[0]
+    r = rho[idx]
+    j = current[idx]
+    e2 = energy2[idx]
+
+    u = j / r[:, None]
+    theta = (e2 / r - (u**2).sum(axis=1)) / d
+    if np.any(theta <= 0.0):
+        bad = idx[int(np.argmin(theta))]
+        raise CollisionMomentError(
+            f"non-realizable moments at node {bad}: inferred temperature <= 0"
+        )
+
+    nodes, feats = _features(v_grid)  # (K, d), (K, d+2)
+    w = v_grid.weight
+    targets = np.concatenate([r[:, None], j, e2[:, None]], axis=1)  # (m', d+2)
+    scale = np.maximum(np.abs(targets), r[:, None] * np.maximum(1.0, theta)[:, None])
+
+    log_a = np.log(r) - 0.5 * d * np.log(2.0 * np.pi * theta)
+
+    for _ in range(max_iter):
+        diff = nodes[None, :, :] - u[:, None, :]  # (m', K, d)
+        q = (diff**2).sum(axis=2)
+        vals = np.exp(log_a[:, None] - q / (2.0 * theta[:, None]))  # (m', K)
+        mom = (vals @ feats) * w  # (m', d+2)
+        resid = mom - targets
+        if float(np.abs(resid / scale).max()) <= rtol:
+            out[idx] = vals.reshape((len(idx),) + v_grid.shape)
+            return out
+        # Jacobian of the moment map wrt (log_a, u, theta)
+        dlog = np.empty(vals.shape + (d + 2,))
+        dlog[..., 0] = 1.0
+        dlog[..., 1 : 1 + d] = diff / theta[:, None, None]
+        dlog[..., -1] = q / (2.0 * theta[:, None] ** 2)
+        jac = np.einsum("ki,mk,mkj->mij", feats, vals, dlog) * w
+        try:
+            step = np.linalg.solve(jac, -resid[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise CollisionMomentError(f"singular moment Jacobian: {exc}") from exc
+        # keep theta positive: per-node damping
+        d_theta = step[:, -1]
+        lam = np.ones(len(r))
+        shrink = d_theta < -0.5 * theta
+        lam[shrink] = 0.5 * theta[shrink] / (-d_theta[shrink])
+        log_a += lam * step[:, 0]
+        u += lam[:, None] * step[:, 1 : 1 + d]
+        theta += lam * d_theta
+    worst = idx[int(np.argmax(np.abs(resid / scale).max(axis=1)))]
+    raise CollisionMomentError(
+        f"moment matching stalled at node {worst}; "
+        f"relative residual {float(np.abs(resid / scale).max()):g}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,3 +322,143 @@ class TestStreamMatchesOracle:
         transfer = _stream_transfer(f.x_grid, f.v_grid, 0.01)
         assert transfer is _stream_transfer(f.x_grid, f.v_grid, 0.01)
         assert not transfer.flags.writeable
+
+
+def _close(new: np.ndarray, old: np.ndarray) -> None:
+    assert new.shape == old.shape
+    assert np.abs(new - old).max() <= RTOL * np.abs(old).max()
+
+
+@st.composite
+def moment_states(draw):
+    """Random nonnegative states, some spatial nodes empty."""
+    dimension = draw(st.sampled_from([1, 2]))
+    n_x = draw(st.sampled_from([4, 6])) if dimension == 2 else draw(st.sampled_from([4, 6, 16]))
+    n_v = draw(st.sampled_from([4, 7, 16, 32]))
+    f = _state(dimension, n_x, n_v, draw(st.integers(0, 2**32 - 1)))
+    empty = draw(hnp.arrays(np.bool_, f.x_grid.shape))
+    f.values[empty] = 0.0
+    if draw(st.booleans()):
+        f.values = np.asfortranarray(f.values)
+    return f
+
+
+class TestMomentsMatchOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(f=moment_states())
+    def test_matches_numpy_sums(self, f):
+        macro = moments(f)
+        rho, current, e_kin = oracle_moments(f)
+        _close(macro.rho, rho)
+        _close(macro.current, current)
+        _close(macro.e_kin, e_kin)
+        _close(stress_moments(f), oracle_stress_moments(f))
+
+    def test_feature_matrix_is_cached_and_read_only(self):
+        v_grid = VelocityGrid(2, 8, 3.0)
+        feats = _feature_matrix(v_grid)
+        assert feats is _feature_matrix(VelocityGrid(2, 8, 3.0))
+        assert not feats.flags.writeable
+        assert feats.shape == (64, 7)
+
+
+def _targets(f: PhaseField):
+    """Per-node (rho, J, sum |xi|^2 f h_v^d) of a state, flattened over x."""
+    rho, current, e_kin = oracle_moments(f)
+    m = rho.size
+    return rho.reshape(m), current.reshape(f.dimension, m).T.copy(), 2.0 * e_kin.reshape(m)
+
+
+@st.composite
+def maxwellian_targets(draw):
+    """Moments of random nonnegative states under a Gaussian envelope.
+
+    The envelope keeps the states well inside the velocity box, where a
+    discrete Maxwellian with the same moments exists; some nodes are empty.
+    """
+    dimension = draw(st.sampled_from([1, 2]))
+    n_x = draw(st.sampled_from([4, 6])) if dimension == 2 else draw(st.sampled_from([4, 6, 16]))
+    x_grid = TorusGrid(dimension, n_x)
+    v_grid = VelocityGrid(dimension, draw(st.sampled_from([16, 32])), 5.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = x_grid.shape + v_grid.shape
+    values = rng.random(shape) * (rng.random(shape) < rng.uniform(0.5, 1.0))
+    theta = draw(st.floats(0.3, 1.0))
+    drift = draw(hnp.arrays(np.float64, dimension, elements=st.floats(-1.0, 1.0)))
+    envelope = sum((m - c) ** 2 for m, c in zip(v_grid.node_mesh(), drift))
+    values *= np.exp(-envelope / (2.0 * theta))
+    values[draw(hnp.arrays(np.bool_, x_grid.shape))] = 0.0
+    return PhaseField(x_grid, v_grid, values, 0.0)
+
+
+def _failure(call):
+    """The CollisionMomentError message a call raises, or None."""
+    try:
+        call()
+    except CollisionMomentError as exc:
+        return str(exc)
+    return None
+
+
+class TestMaxwellianMatchMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(f=maxwellian_targets())
+    def test_matches_full_gaussian_newton(self, f):
+        targets = _targets(f)
+        failed = _failure(lambda: oracle_match_discrete_maxwellian(f.v_grid, *targets))
+        if failed is not None:
+            # A state a coarse grid cannot match fails the same way, at the
+            # same node (the stall residual may differ in its last digits).
+            again = _failure(lambda: match_discrete_maxwellian(f.v_grid, *targets))
+            assert again is not None and again.split(";")[0] == failed.split(";")[0]
+            return
+        old = oracle_match_discrete_maxwellian(f.v_grid, *targets)
+        new = match_discrete_maxwellian(f.v_grid, *targets)
+        _close(new, old)
+        # Empty nodes get the zero function exactly.
+        empty = targets[0] == 0.0
+        assert not new[empty].any()
+        # The returned Maxwellian carries the target moments.
+        field = PhaseField(f.x_grid, f.v_grid, new.reshape(f.values.shape))
+        macro = moments(field)
+        rho, current, energy2 = targets
+        m = rho.size
+        assert np.all(np.abs(macro.rho.reshape(m) - rho) <= 1e-12 * rho)
+        assert np.all(np.abs(2.0 * macro.e_kin.reshape(m) - energy2) <= 1e-12 * energy2)
+        bound = np.sqrt(rho * energy2)  # |J| <= sqrt(rho E2) by Cauchy-Schwarz
+        assert np.all(np.abs(macro.current.reshape(f.dimension, m).T - current) <= 1e-12 * bound[:, None])
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_same_failures_on_the_same_nodes(self, dimension):
+        v_grid = VelocityGrid(dimension, 16, 3.0)
+        m = 5
+        rho = np.linspace(0.5, 1.5, m)
+        current = np.zeros((m, dimension))
+        current[:, 0] = 0.2 * rho
+        energy2 = rho * (0.04 + 0.5 * dimension)
+        cases = {}
+        # a negative density
+        bad_rho = rho.copy()
+        bad_rho[3] = -0.1
+        cases["negative density at node 3"] = (bad_rho, current, energy2, {})
+        # a temperature <= 0
+        cold = energy2.copy()
+        cold[2] = rho[2] * 0.04
+        cases["non-realizable moments at node 2"] = (rho, current, cold, {})
+        # a flow far outside the box: the Gaussian underflows to zero
+        far = current.copy()
+        far[1, 0] = 100.0 * rho[1]
+        hot = energy2.copy()
+        hot[1] = rho[1] * (100.0**2 + 0.01 * dimension)
+        cases["singular moment Jacobian"] = (rho, far, hot, {})
+        # one Newton step from the continuous Maxwellian is not enough
+        wide = energy2 * np.linspace(1.0, 3.0, m)
+        cases["moment matching stalled at node 4"] = (rho, current, wide, {"max_iter": 1})
+        for message, (r, j, e2, kwargs) in cases.items():
+            old = _failure(lambda: oracle_match_discrete_maxwellian(v_grid, r, j, e2, **kwargs))
+            new = _failure(lambda: match_discrete_maxwellian(v_grid, r, j, e2, **kwargs))
+            assert old is not None and old.startswith(message), (message, old)
+            assert new is not None and new.startswith(message), (message, new)
+            if "residual" in old:
+                # same node, same residual to the shown digits
+                assert new == old

@@ -344,6 +344,23 @@ class TestRun:
         assert trajectory.snapshot_steps == [0, 3, 6, 9, 10]
         assert trajectory.snapshots[-1].time == pytest.approx(0.05)
 
+    def test_stride_zero_keeps_only_the_final_state(self):
+        params = d1_params(dt=5e-3, t_end=0.02)
+        trajectory = run(params)
+        assert trajectory.snapshot_steps == [4]
+        assert len(trajectory.snapshots) == 1
+        assert trajectory.snapshots[0] is trajectory.final
+        assert trajectory.snapshots[0].time == pytest.approx(0.02)
+
+    def test_stride_zero_without_steps_keeps_the_initial_state(self):
+        params = d1_params(t_end=0.0)
+        trajectory = run(params)
+        assert trajectory.snapshot_steps == [0]
+        initial = make_initial_condition(
+            params.ic, params.x_grid(), params.v_grid(), params.epsilon
+        )
+        assert trajectory.snapshots[0].values.tobytes() == initial.values.tobytes()
+
     def test_reruns_are_bit_identical(self):
         params = d1_params(t_end=0.02)
         first = run(params)
