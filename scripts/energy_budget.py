@@ -34,7 +34,8 @@ def main() -> int:
     for mode, trajectory in trajectories.items():
         records = trajectory.records
         stride = max(1, (len(records) - 1) // max(1, args.samples - 1))
-        print(f"\n{mode}  (epsilon={config.epsilon}, dt={config.dt})")
+        params = trajectory.params
+        print(f"\n{mode}  (epsilon={params.epsilon}, dt={params.dt})")
         print(f"{'t':>8}  {'kinetic':>22}  {'field':>22}  {'total':>22}")
         for r in records[::stride]:
             print(f"{r.t:8.4f}  {r.e_kinetic:22.15e}  {r.e_field:22.15e}  {r.e_total:22.15e}")

@@ -35,9 +35,9 @@ import scipy
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import DiagnosticsRecord, format_cell, relative_energy_drift
-from .euler import solve_euler
+from .euler import VELOCITY_KINDS, solve_euler
 from .grids import TorusGrid, write_snapshot
-from .vlasov import SimulationParams, Trajectory, run
+from .vlasov import FIELD_MODES, SimulationParams, Trajectory, run
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output", required=True, help="output directory")
     p_sim.add_argument(
         "--field-mode",
-        choices=("monge_ampere", "poisson", "none"),
+        choices=FIELD_MODES,
         default=None,
         help="override the scenario's field mode",
     )
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_euler.add_argument(
         "--kind",
         default="taylor_green",
-        choices=("zero", "constant", "taylor_green", "shear", "random_bandlimited"),
+        choices=VELOCITY_KINDS,
     )
     p_euler.add_argument("--amplitude", type=float, default=1.0)
     p_euler.add_argument("--seed", type=int, default=0)

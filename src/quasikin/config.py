@@ -7,6 +7,12 @@ value or a power-law schedule in epsilon (``delta_coeff``/``delta_exponent``),
 which is what epsilon sweeps use to keep initial states well prepared as
 epsilon shrinks.  ``v_max = auto`` sizes the velocity box from the bulk
 flow and temperature so the Gaussian tails stay below quadrature accuracy.
+
+A RunConfig holds only what a scenario adds to SimulationParams: the
+schedules, the automatic velocity box and the sweep.  Every check of a run
+lives in SimulationParams, which checks itself when built; load_config
+builds it at the scenario's epsilon and at every sweep epsilon, so an
+infeasible sweep member fails when the file is loaded, before any run.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .collision import CollisionConfig
@@ -26,17 +32,15 @@ from .vlasov import SimulationParams, WellPreparedIC
 AUTO_V_MARGIN = 0.2
 AUTO_V_SIGMAS = 7.0
 
-U0_KINDS = ("zero", "constant", "taylor_green", "shear", "random_bandlimited")
 SWEEP_KINDS = ("quasineutral", "mode_drift")
 
 # Every key the parser reads, per section; anything else is rejected.
 SECTION_KEYS = {
     "run": (
         "name", "dimension", "n_x", "n_v", "epsilon", "dt", "t_end",
-        "field_mode", "v_max", "cfl", "a_max", "snapshot_stride",
-        "euler_reference",
+        "field_mode", "v_max", "a_max", "snapshot_stride", "euler_reference",
     ),
-    "collision": ("kind", "tau", "gamma", "n_sigma"),
+    "collision": ("kind", "tau"),
     "initial": (
         "u0", "u0_amplitude", "profile", "delta", "delta_coeff",
         "delta_exponent", "theta", "theta_coeff", "theta_exponent", "seed",
@@ -63,71 +67,31 @@ class Schedule:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed scenario: everything needed to build SimulationParams."""
+    """Parsed scenario: SimulationParams at any epsilon through make_params."""
 
     name: str
-    dimension: int
-    n_x: int
-    n_v: int
+    run_fields: dict  # SimulationParams keywords that do not depend on epsilon
+    ic: WellPreparedIC  # delta and theta come from the schedules
     epsilon: float
-    dt: float
-    t_end: float
-    field_mode: str = "monge_ampere"
-    v_max: float | None = None  # None -> sized automatically
-    cfl: float = 1.0
-    a_max: float = 1.0
-    snapshot_stride: int = 0
-    collision: CollisionConfig = field(default_factory=CollisionConfig)
-    u0_kind: str = "zero"
-    u0_amplitude: float = 0.0
-    profile: str = "cosine_x"
     delta: Schedule = Schedule(0.0)
     theta: Schedule = Schedule(1.0)
-    ic_seed: int = 0
-    ic_max_mode: int = 3
-    euler_reference: bool = False
+    v_max: float | None = None  # None -> sized automatically
     sweep_epsilons: tuple = ()
     sweep_kind: str = "quasineutral"
     source_sha256: str = ""
 
-    def resolved_v_max(self, epsilon: float) -> float:
-        if self.v_max is not None:
-            return self.v_max
-        theta = self.theta(epsilon)
-        if theta <= 0.0:
-            raise ConfigError(f"theta schedule gives {theta:g} at epsilon={epsilon:g}")
-        return self.u0_amplitude + AUTO_V_SIGMAS * math.sqrt(theta) + AUTO_V_MARGIN
-
-    def initial_condition(self, epsilon: float) -> WellPreparedIC:
-        return WellPreparedIC(
-            u0_kind=self.u0_kind,
-            u0_amplitude=self.u0_amplitude,
-            delta=self.delta(epsilon),
-            theta=self.theta(epsilon),
-            profile=self.profile,
-            seed=self.ic_seed,
-            max_mode=self.ic_max_mode,
-        )
-
     def make_params(self, epsilon: float | None = None, field_mode: str | None = None) -> SimulationParams:
+        """The checked params at ``epsilon`` (default: the scenario's)."""
         eps = self.epsilon if epsilon is None else epsilon
+        ic = replace(self.ic, delta=self.delta(eps), theta=self.theta(eps))
+        v_max = self.v_max
+        if v_max is None:  # a theta <= 0 is rejected by the params check
+            v_max = ic.u0_amplitude + AUTO_V_SIGMAS * math.sqrt(max(ic.theta, 0.0)) + AUTO_V_MARGIN
+        run_fields = self.run_fields
+        if field_mode is not None:
+            run_fields = {**run_fields, "field_mode": field_mode}
         try:
-            return SimulationParams(
-                dimension=self.dimension,
-                n_x=self.n_x,
-                n_v=self.n_v,
-                v_max=self.resolved_v_max(eps),
-                epsilon=eps,
-                dt=self.dt,
-                t_end=self.t_end,
-                field_mode=self.field_mode if field_mode is None else field_mode,
-                collision=self.collision,
-                ic=self.initial_condition(eps),
-                cfl=self.cfl,
-                a_max_estimate=self.a_max,
-                snapshot_stride=self.snapshot_stride,
-                euler_reference=self.euler_reference,
-            )
+            return SimulationParams(v_max=v_max, epsilon=eps, ic=ic, **run_fields)
         except ValueError as exc:
             raise ConfigError(f"scenario {self.name!r}: {exc}") from exc
 
@@ -200,33 +164,26 @@ def load_config(path: str | Path) -> RunConfig:
 
     collision = CollisionConfig()
     if parser.has_section("collision"):
-        kind = _get(parser, "collision", "kind", str, default="none")
         try:
             collision = CollisionConfig(
-                kind=kind,
+                kind=_get(parser, "collision", "kind", str, default="none"),
                 tau=_get(parser, "collision", "tau", float, default=0.1),
-                gamma=_get(parser, "collision", "gamma", float, default=1.0),
-                n_sigma=_get(parser, "collision", "n_sigma", int, default=16),
             )
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
-    u0_kind = _get(parser, "initial", "u0", str, default="zero") if parser.has_section("initial") else "zero"
-    if u0_kind not in U0_KINDS:
-        raise ConfigError(f"{path}: unknown u0 kind {u0_kind!r} (choose from {U0_KINDS})")
-
-    delta = Schedule(0.0)
-    theta = Schedule(1.0)
-    u0_amplitude = 0.0
-    profile = "cosine_x"
-    ic_seed, ic_max_mode = 0, 3
+    ic = WellPreparedIC()
+    delta, theta = Schedule(0.0), Schedule(1.0)
     if parser.has_section("initial"):
+        ic = WellPreparedIC(
+            u0_kind=_get(parser, "initial", "u0", str, default="zero"),
+            u0_amplitude=_get(parser, "initial", "u0_amplitude", float, default=0.0),
+            profile=_get(parser, "initial", "profile", str, default="cosine_x"),
+            seed=_get(parser, "initial", "seed", int, default=0),
+            max_mode=_get(parser, "initial", "max_mode", int, default=3),
+        )
         delta = _schedule(parser, "initial", "delta", 0.0)
         theta = _schedule(parser, "initial", "theta", 1.0)
-        u0_amplitude = _get(parser, "initial", "u0_amplitude", float, default=0.0)
-        profile = _get(parser, "initial", "profile", str, default="cosine_x")
-        ic_seed = _get(parser, "initial", "seed", int, default=0)
-        ic_max_mode = _get(parser, "initial", "max_mode", int, default=3)
 
     sweep_epsilons: tuple = ()
     sweep_kind = "quasineutral"
@@ -249,26 +206,23 @@ def load_config(path: str | Path) -> RunConfig:
 
     config = RunConfig(
         name=_get(parser, "run", "name", str, default=path.stem),
-        dimension=_get(parser, "run", "dimension", int, required=True),
-        n_x=_get(parser, "run", "n_x", int, required=True),
-        n_v=_get(parser, "run", "n_v", int, required=True),
+        run_fields=dict(
+            dimension=_get(parser, "run", "dimension", int, required=True),
+            n_x=_get(parser, "run", "n_x", int, required=True),
+            n_v=_get(parser, "run", "n_v", int, required=True),
+            dt=_get(parser, "run", "dt", float, required=True),
+            t_end=_get(parser, "run", "t_end", float, required=True),
+            field_mode=_get(parser, "run", "field_mode", str, default="monge_ampere"),
+            collision=collision,
+            a_max_estimate=_get(parser, "run", "a_max", float, default=1.0),
+            snapshot_stride=_get(parser, "run", "snapshot_stride", int, default=0),
+            euler_reference=_get(parser, "run", "euler_reference", _bool, default=False),
+        ),
+        ic=ic,
         epsilon=_get(parser, "run", "epsilon", float, required=True),
-        dt=_get(parser, "run", "dt", float, required=True),
-        t_end=_get(parser, "run", "t_end", float, required=True),
-        field_mode=_get(parser, "run", "field_mode", str, default="monge_ampere"),
-        v_max=v_max,
-        cfl=_get(parser, "run", "cfl", float, default=1.0),
-        a_max=_get(parser, "run", "a_max", float, default=1.0),
-        snapshot_stride=_get(parser, "run", "snapshot_stride", int, default=0),
-        collision=collision,
-        u0_kind=u0_kind,
-        u0_amplitude=u0_amplitude,
-        profile=profile,
         delta=delta,
         theta=theta,
-        ic_seed=ic_seed,
-        ic_max_mode=ic_max_mode,
-        euler_reference=_get(parser, "run", "euler_reference", _bool, default=False),
+        v_max=v_max,
         sweep_epsilons=sweep_epsilons,
         sweep_kind=sweep_kind,
         source_sha256=hashlib.sha256(data).hexdigest(),
@@ -283,7 +237,7 @@ def load_config(path: str | Path) -> RunConfig:
                 f"{path}: unknown keys in [{section}]: {', '.join(unknown)} "
                 f"(allowed: {', '.join(allowed)})"
             )
-    # Fail fast on inconsistencies instead of at run time.
+    # Every run the file describes is checked here, before any of them starts.
     config.make_params()
     for eps in config.sweep_epsilons:
         config.make_params(eps)

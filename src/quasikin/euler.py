@@ -45,6 +45,7 @@ __all__ = [
 
 CFL_NUMBER = 0.5
 DIVERGENCE_TOLERANCE = 1e-8
+VELOCITY_KINDS = ("zero", "constant", "taylor_green", "shear", "random_bandlimited")
 
 
 class CflViolationError(RuntimeError):
@@ -221,7 +222,9 @@ def initial_velocity(
         if peak > 0.0:
             u *= amplitude / peak
         return u
-    raise ValueError(f"unknown initial velocity kind {kind!r}")
+    raise ValueError(
+        f"unknown initial velocity kind {kind!r} (choose from {', '.join(VELOCITY_KINDS)})"
+    )
 
 
 def solve_euler(

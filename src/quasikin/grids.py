@@ -203,13 +203,6 @@ class PhaseField:
     def mass(self) -> float:
         return float(self.values.sum()) * self.phase_volume
 
-    def validate(self) -> None:
-        """Check finiteness and nonnegativity (not run in hot loops)."""
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("phase field contains non-finite values")
-        if np.any(self.values < 0.0):
-            raise ValueError("phase field contains negative values")
-
     def copy(self) -> "PhaseField":
         return PhaseField(self.x_grid, self.v_grid, self.values.copy(), self.time)
 
@@ -227,12 +220,6 @@ class MacroFields:
     rho: np.ndarray
     current: np.ndarray
     e_kin: np.ndarray
-
-    def momentum_total(self) -> np.ndarray:
-        return self.current.sum(axis=tuple(range(1, 1 + self.grid.dimension))) * self.grid.cell_volume
-
-    def kinetic_energy_total(self) -> float:
-        return float(self.e_kin.sum()) * self.grid.cell_volume
 
 
 @lru_cache(maxsize=32)

@@ -9,7 +9,7 @@ One step advances
 so the acceleration is evaluated at the half step (time-centered, which is
 what makes the composition second order).  Both advections are
 semi-Lagrangian with cubic interpolation, hence unconditionally stable in
-the advection CFL sense; the params-level CFL bound exists to control
+the advection CFL sense; the params-level dt bound exists to control
 splitting error, not stability.
 
 Spatial advection uses the periodic cubic-spline interpolant applied in
@@ -59,6 +59,7 @@ from .monge_ampere import FieldSolveReport, Potential, solve_field
 __all__ = [
     "SimulationParams",
     "WellPreparedIC",
+    "check_initial_state",
     "make_initial_condition",
     "advect_x",
     "advect_v",
@@ -70,6 +71,7 @@ __all__ = [
 
 FIELD_MODES = ("monge_ampere", "poisson", "none")
 VELOCITY_MARGIN_SIGMAS = 6.0  # v_max must cover u_max + 6 sqrt(theta)
+KICK_SCRATCH_BYTES = 1 << 20  # per-call scratch of the kick's row blocks
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,13 @@ class WellPreparedIC:
 
 @dataclass(frozen=True)
 class SimulationParams:
+    """Everything one run needs, checked when built.
+
+    Construction rejects any infeasible combination: the field mode, the
+    horizon and time step, the collision kind, the initial state against
+    the grids (check_initial_state) and the splitting-error bound on dt.
+    """
+
     dimension: int
     n_x: int
     n_v: int
@@ -104,7 +113,6 @@ class SimulationParams:
     field_mode: str = "monge_ampere"
     collision: CollisionConfig = CollisionConfig()
     ic: WellPreparedIC = WellPreparedIC()
-    cfl: float = 1.0
     a_max_estimate: float = 1.0
     snapshot_stride: int = 0
     euler_reference: bool = False
@@ -116,8 +124,6 @@ class SimulationParams:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.dt > 0.0) or self.t_end < 0.0:
             raise ValueError("need dt > 0 and t_end >= 0")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.collision.kind == "direct":
             raise ValueError(
                 "direct collision quadrature is a diagnostic operator; "
@@ -131,16 +137,15 @@ class SimulationParams:
                 f"t_end = {self.t_end:g} is not an integer number of steps "
                 f"of dt = {self.dt:g}"
             )
-        h_x = 1.0 / self.n_x
-        h_v = 2.0 * self.v_max / self.n_v
-        bound = self.cfl * h_x / self.v_max
+        x_grid, v_grid = self.x_grid(), self.v_grid()
+        check_initial_state(self.ic, x_grid, self.v_max)
+        bound = x_grid.h_x / self.v_max
         if self.a_max_estimate > 0.0:
-            bound = min(bound, self.cfl * h_v / self.a_max_estimate)
+            bound = min(bound, v_grid.h_v / self.a_max_estimate)
         if self.dt > bound * (1.0 + 1e-12):
             raise ValueError(
                 f"dt = {self.dt:g} exceeds the splitting-error bound {bound:g} "
-                f"(cfl = {self.cfl:g}, v_max = {self.v_max:g}, "
-                f"a_max_estimate = {self.a_max_estimate:g})"
+                f"(v_max = {self.v_max:g}, a_max_estimate = {self.a_max_estimate:g})"
             )
 
     @property
@@ -159,19 +164,55 @@ class SimulationParams:
 # ---------------------------------------------------------------------------
 
 
+def check_initial_state(
+    ic: WellPreparedIC, x_grid: TorusGrid, v_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reject an initial state the grids cannot carry; return (rho0, u0).
+
+    The one check of a scenario's initial state: SimulationParams runs it
+    when built and make_initial_condition before it samples f0.  rho0 has
+    unit mean; the velocity box must hold the bulk flow plus six thermal
+    widths.
+    """
+    if not (0.0 <= ic.delta <= 0.9):
+        raise ValueError(f"delta must lie in [0, 0.9], got {ic.delta}")
+    if not (ic.theta > 0.0):
+        raise ValueError(f"theta must be positive, got {ic.theta}")
+    min_dimension = {"cosine_x": 1, "cosine_xy": 2, "random": 1}
+    if ic.profile not in min_dimension:
+        raise ValueError(
+            f"unknown density profile {ic.profile!r} "
+            f"(choose from {', '.join(min_dimension)})"
+        )
+    if x_grid.dimension < min_dimension[ic.profile]:
+        raise ValueError(f"profile {ic.profile} requires dimension 2")
+    rho0 = 1.0 + ic.delta * _density_profile(ic, x_grid)  # checks seed, max_mode
+    rho0 = rho0 / rho0.mean()
+
+    u0 = reference_flow(ic, x_grid)  # rejects an unknown kind or dimension
+    worst_div = float(np.abs(spectral_divergence(x_grid, u0)).max())
+    if worst_div > 1e-10:
+        raise ValueError(f"u0 is not divergence-free: max |div| = {worst_div:g}")
+
+    u_max = float(np.sqrt((u0**2).sum(axis=0)).max())
+    required = u_max + VELOCITY_MARGIN_SIGMAS * np.sqrt(ic.theta)
+    if v_max < required * (1.0 - 1e-12):
+        raise ValueError(
+            f"v_max = {v_max:g} cannot contain the state "
+            f"(need >= u_max + 6 sqrt(theta) = {required:g})"
+        )
+    return rho0, u0
+
+
 def _density_profile(ic: WellPreparedIC, grid: TorusGrid) -> np.ndarray:
     if ic.profile == "cosine_x":
         x = grid.coords()[0] if grid.dimension == 2 else grid.axis_coords()
         return np.cos(2.0 * np.pi * x)
     if ic.profile == "cosine_xy":
-        if grid.dimension != 2:
-            raise ValueError("profile cosine_xy requires dimension 2")
         x, y = grid.coords()
         return np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
-    if ic.profile == "random":
-        rng = np.random.default_rng(ic.seed + 101)
-        return random_bandlimited_field(grid, ic.max_mode, rng)
-    raise ValueError(f"unknown density profile {ic.profile!r}")
+    rng = np.random.default_rng(ic.seed + 101)  # "random"
+    return random_bandlimited_field(grid, ic.max_mode, rng)
 
 
 def reference_flow(ic: WellPreparedIC, grid: TorusGrid) -> np.ndarray:
@@ -194,32 +235,12 @@ def make_initial_condition(
 
     The velocity factor at each spatial node is normalized by its own
     discrete mass, so the discrete density equals rho0 exactly and the total
-    mass is exactly 1.  Rejects parameter combinations whose bulk flow or
-    thermal spread the velocity box cannot contain (v_max adequacy).
+    mass is exactly 1.  Rejects what check_initial_state rejects.
     """
     d = x_grid.dimension
-    if not (0.0 <= ic.delta <= 0.9):
-        raise ValueError(f"delta must lie in [0, 0.9], got {ic.delta}")
-    if not (ic.theta > 0.0):
-        raise ValueError(f"theta must be positive, got {ic.theta}")
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-
-    u0 = reference_flow(ic, x_grid)
-    worst_div = float(np.abs(spectral_divergence(x_grid, u0)).max())
-    if worst_div > 1e-10:
-        raise ValueError(f"u0 is not divergence-free: max |div| = {worst_div:g}")
-
-    u_max = float(np.sqrt((u0**2).sum(axis=0)).max())
-    required = u_max + VELOCITY_MARGIN_SIGMAS * np.sqrt(ic.theta)
-    if v_grid.v_max < required * (1.0 - 1e-12):
-        raise ValueError(
-            f"v_max = {v_grid.v_max:g} cannot contain the state "
-            f"(need >= u_max + 6 sqrt(theta) = {required:g})"
-        )
-
-    rho0 = 1.0 + ic.delta * _density_profile(ic, x_grid)
-    rho0 = rho0 / rho0.mean()
+    rho0, u0 = check_initial_state(ic, x_grid, v_grid.v_max)
 
     mesh = v_grid.node_mesh()
     q = np.zeros(x_grid.shape + v_grid.shape)
@@ -378,19 +399,25 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, axis: int, h: float) -> np
     step = 1 if axis == -1 else values.shape[-1]  # flat distance between nodes
     out = np.zeros(values.shape)  # C order, so flat_out is a view
     flat_out = out.reshape(n_rows, -1)
-    scratch = np.empty_like(flat_out)
+    # Terms are formed a block of rows at a time, in scratch of at most
+    # KICK_SCRATCH_BYTES: each row's sums are unchanged, and no fourth
+    # phase-space array is alive beside values, curv and out.
+    block = max(1, KICK_SCRATCH_BYTES // (8 * length))
+    scratch = np.empty((min(block, n_rows), length))
     for shift in np.unique(c):
         rows = c == shift
         s = int(shift)
         lo, hi = max(s, 0), min(n - 1 + s, n)
         if lo < hi:
             q0, q1 = lo * step, length - (n - hi) * step
-            dst = flat_out[:, q0:q1]
-            term = scratch[:, q0:q1]
-            for w, src, offset in zip(weights, sources, (0, 1, 0, 1)):
-                k = (s - offset) * step
-                w_rows = np.where(rows, w, 0.0).reshape(n_rows, 1)
-                dst += np.multiply(w_rows, src[:, q0 - k : q1 - k], out=term)
+            w_rows = [np.where(rows, w, 0.0).reshape(n_rows, 1) for w in weights]
+            for r0 in range(0, n_rows, block):
+                r = slice(r0, r0 + block)
+                dst = flat_out[r, q0:q1]
+                term = scratch[: dst.shape[0], q0:q1]
+                for w, src, offset in zip(w_rows, sources, (0, 1, 0, 1)):
+                    k = (s - offset) * step
+                    dst += np.multiply(w[r], src[r, q0 - k : q1 - k], out=term)
             if step * n < length:
                 keep = np.where(rows, 0.0, 1.0)
                 for j in (*range(lo), *range(hi, n)):

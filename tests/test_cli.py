@@ -120,15 +120,23 @@ class TestConfig:
         path.write_text(TINY_SWEEP)
         assert load_config(path).make_params(0.4).euler_reference is True
 
-    def test_parsed_fields(self, tiny_cfg):
+    def test_parsed_fields(self, tiny_cfg, tmp_path):
         config = load_config(tiny_cfg)
         assert config.name == "tiny"
-        assert config.collision.kind == "bgk"
-        assert config.delta(0.5) == 0.2  # literal, epsilon-independent
         assert len(config.source_sha256) == 64
         params = config.make_params()
+        assert params.collision.kind == "bgk"
+        assert params.ic.delta == 0.2  # literal, epsilon-independent
         assert params.n_steps == 5
         assert params.v_max == pytest.approx(7.0 * np.sqrt(0.4) + 0.2)
+        # Schedules and the automatic velocity box at a sweep epsilon.
+        path = tmp_path / "sweep.cfg"
+        path.write_text(TINY_SWEEP.replace("theta = 0.4", "theta_coeff = 1.0\ntheta_exponent = 1"))
+        params = load_config(path).make_params(0.4)
+        assert params.epsilon == 0.4
+        assert params.ic.delta == pytest.approx(0.16)
+        assert params.ic.theta == pytest.approx(0.4)
+        assert params.v_max == pytest.approx(0.1 + 7.0 * np.sqrt(0.4) + 0.2)
 
     def test_schedule_forms(self):
         assert Schedule(0.3)(0.1) == 0.3
@@ -144,6 +152,13 @@ class TestConfig:
             (("kind = bgk", "kind = elastic"), "collision kind"),
             (("tau = 0.1", "tau = 0.1\ntua = 9"), r"unknown keys in \[collision\]: tua"),
             (("u0 = zero", "u0_kind = zero"), r"unknown keys in \[initial\]: u0_kind"),
+            (("theta = 0.4", "theta = 0.4\nprofile = cosine_q"), "unknown density profile"),
+            (("theta = 0.4", "theta = 0.4\nprofile = cosine_xy"), "cosine_xy requires dimension 2"),
+            (("u0 = zero", "u0 = taylor_green"), "taylor_green requires dimension 2"),
+            (("u0 = zero", "u0 = vortex"), "choose from zero, constant"),
+            (("v_max = auto", "v_max = 2.0"), "cannot contain the state"),
+            (("delta = 0.2", "delta = 0.95"), r"delta must lie in \[0, 0.9\]"),
+            (("theta = 0.4", "theta = 0.4\nprofile = random\nmax_mode = 0"), "max_mode must be >= 1"),
         ],
     )
     def test_rejections(self, tmp_path, mutation, match):
@@ -173,8 +188,9 @@ class TestConfig:
         example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         path = tmp_path / "readme.cfg"
         path.write_text(example)
-        config = load_config(path)
-        assert config.u0_kind == "constant"
+        params = load_config(path).make_params()
+        assert params.ic.u0_kind == "constant"
+        assert params.ic.theta == 0.1 and params.euler_reference is True
 
 
 class TestSimulateVerb:
@@ -229,7 +245,7 @@ class TestSimulateVerb:
                      "--output", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "tua" in err and "allowed: kind, tau, gamma, n_sigma" in err
+        assert "tua" in err and "allowed: kind, tau" in err
 
     def test_infeasible_scenario_exits_2(self, tmp_path, capsys):
         path = tmp_path / "fast.cfg"
@@ -237,6 +253,15 @@ class TestSimulateVerb:
         code = main(["simulate", "--config", str(path),
                      "--output", str(tmp_path / "o")])
         assert code == 2
+
+    def test_bad_initial_state_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "profile.cfg"
+        path.write_text(TINY.replace("theta = 0.4", "theta = 0.4\nprofile = cosine_q"))
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(path), "--output", str(out)])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepVerb:
@@ -267,6 +292,22 @@ class TestSweepVerb:
         assert (out / "eps_0.4_monge_ampere" / "diagnostics.csv").is_file()
         slopes = json.loads((out / "slopes.json").read_text())
         assert slopes["sweep_kind"] == "mode_drift"
+
+    def test_infeasible_later_member_exits_2_before_any_run(self, tmp_path, capsys):
+        # theta = eps: the fixed box holds eps = 0.2 but not eps = 0.4.
+        text = (
+            TINY_SWEEP.replace("theta = 0.4", "theta_coeff = 1.0\ntheta_exponent = 1")
+            .replace("v_max = auto", "v_max = 3.5")
+            .replace("epsilons = 0.4 0.2", "epsilons = 0.2 0.4")
+        )
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(path), "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "cannot contain the state" in err
+        assert not out.exists()  # no member directory either
 
     def test_sweepless_scenario_exits_2(self, tiny_cfg, tmp_path, capsys):
         code = main(["sweep", "--config", str(tiny_cfg),

@@ -66,7 +66,8 @@ class TestSimulationParams:
             ({"t_end": 0.0503}, "integer number of steps"),
             ({"collision": CollisionConfig(kind="direct")}, "diagnostic"),
             ({"snapshot_stride": -1}, "snapshot_stride"),
-            ({"cfl": 1.5}, "cfl"),
+            ({"v_max": 2.0}, "cannot contain the state"),
+            ({"ic": WellPreparedIC(profile="cosine_xy", theta=0.1)}, "requires dimension 2"),
         ],
     )
     def test_rejects_bad_parameters(self, overrides, match):
