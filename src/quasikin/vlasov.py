@@ -24,10 +24,11 @@ Velocity advection uses natural cubic splines.  Every row along a velocity
 axis shares one tridiagonal system, so the spline's second derivatives come
 from one cached dense operator applied as a matrix product; the shift is
 uniform along each row, so evaluating the spline is a 2-point stencil with
-per-row weights, accumulated with slices.  The distribution is 0 beyond
-the velocity box (outflow by truncation); negative interpolation overshoot
-is clipped to keep f >= 0, and the mass added by clipping is reported with
-each substep.
+per-row weights.  It is evaluated for one group of rows at a time, the
+rows that share a whole-cell shift, in blocks of rows that keep its
+scratch small.  The distribution is 0 beyond the velocity box (outflow by
+truncation); negative interpolation overshoot is clipped to keep f >= 0,
+and the mass added by clipping is reported with each substep.
 
 Diagnostics are evaluated on the end-of-step state with a *fresh* field
 solve at that time; mixing the half-step potential with end-step moments
@@ -71,7 +72,7 @@ __all__ = [
 
 FIELD_MODES = ("monge_ampere", "poisson", "none")
 VELOCITY_MARGIN_SIGMAS = 6.0  # v_max must cover u_max + 6 sqrt(theta)
-KICK_SCRATCH_BYTES = 1 << 20  # per-call scratch of the kick's row blocks
+KICK_SCRATCH_BYTES = 1 << 18  # bytes in one block of rows the kick gathers
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,12 @@ def check_initial_state(
         )
     if x_grid.dimension < min_dimension[ic.profile]:
         raise ValueError(f"profile {ic.profile} requires dimension 2")
-    rho0 = 1.0 + ic.delta * _density_profile(ic, x_grid)  # checks seed, max_mode
+    # The seeded draws: the profile from seed + 101, the flow from seed.
+    if ic.profile == "random" and ic.seed < -101:
+        raise ValueError(f"profile random needs seed >= -101, got {ic.seed}")
+    if ic.u0_kind == "random_bandlimited" and ic.seed < 0:
+        raise ValueError(f"u0 random_bandlimited needs seed >= 0, got {ic.seed}")
+    rho0 = 1.0 + ic.delta * _density_profile(ic, x_grid)  # checks max_mode
     rho0 = rho0 / rho0.mean()
 
     u0 = reference_flow(ic, x_grid)  # rejects an unknown kind or dimension
@@ -345,8 +351,7 @@ def _spline_curvature_operator(n: int, h: float) -> np.ndarray:
     a[i, i - 1] = a[i, i + 1] = 1.0
     d2[i, i - 1] = d2[i, i + 1] = 1.0
     d2[i, i] = -2.0
-    # Fortran order: both K (axis -2) and K.T (axis -1) then reach matmul
-    # in a layout it multiplies without a copy.
+    # Fortran order, so the K.T that the kick multiplies by is C-ordered.
     k = np.asfortranarray(np.linalg.solve(a, d2) * (6.0 / h**2))
     k.flags.writeable = False
     return k
@@ -363,68 +368,50 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, axis: int, h: float) -> np
     outside [0, n - 1] give 0 (outflow).  A zero shift reproduces the row
     bitwise: its weights are exactly (1, 0, 0, 0).
 
-    The stencil is accumulated with slices, one group of rows per distinct
-    c, on the (spatial node, velocity block) view, so each slice is long
-    and contiguous.  Along the last of two velocity axes those flat slices
-    run across the ends of the kicked rows; the nodes outside the group's
-    range are reset afterwards.
+    The input and the output are viewed as (spatial node, other velocity
+    index, kicked node), so every slice is on the last axis.  The rows of
+    each distinct c are gathered a block of at most KICK_SCRATCH_BYTES at a
+    time: the block's M is one matrix product, and its stencil is written to
+    the group's output nodes only.  Every other node of the group's rows
+    stays 0, except the edge node below.
     """
     n = values.shape[axis]
-    curvature = _spline_curvature_operator(n, h)
-    curv = values @ curvature.T if axis == -1 else curvature @ values
+    curvature_t = _spline_curvature_operator(n, h).T
+    sigma = sigma.reshape(-1)
     c = np.ceil(sigma)
     t = c - sigma
     one_t = 1.0 - t
-    weights = (
-        one_t,
-        t,
-        (h * h / 6.0) * (one_t**3 - one_t),
-        (h * h / 6.0) * (t**3 - t),
+    weights = np.stack(
+        [one_t, t, (h * h / 6.0) * (one_t**3 - one_t), (h * h / 6.0) * (t**3 - t)]
     )
     # Node n - 1 + c samples g = n - 1 + t, on the box edge when t = 0 and
     # rounded onto it when t is below half an ulp of n - 1: either way it
     # takes f[n - 1], as evaluating at the rounded g would.
     on_edge = (n - 1 + c) - sigma <= n - 1
 
-    def column(j: int) -> tuple:
-        index = [slice(None)] * values.ndim
-        index[axis] = slice(j, j + 1)
-        return tuple(index)
-
-    n_rows = sigma.size
-    flat_values = values.reshape(n_rows, -1)
-    flat_curv = curv.reshape(n_rows, -1)
-    sources = (flat_values, flat_values, flat_curv, flat_curv)
-    length = flat_values.shape[1]
-    step = 1 if axis == -1 else values.shape[-1]  # flat distance between nodes
-    out = np.zeros(values.shape)  # C order, so flat_out is a view
-    flat_out = out.reshape(n_rows, -1)
-    # Terms are formed a block of rows at a time, in scratch of at most
-    # KICK_SCRATCH_BYTES: each row's sums are unchanged, and no fourth
-    # phase-space array is alive beside values, curv and out.
-    block = max(1, KICK_SCRATCH_BYTES // (8 * length))
-    scratch = np.empty((min(block, n_rows), length))
+    out = np.zeros(values.shape)  # C-ordered, so dst is a view of it
+    src, dst = (np.swapaxes(arr, axis, -1).reshape(sigma.size, -1, n) for arr in (values, out))
+    block = max(1, KICK_SCRATCH_BYTES // (values.nbytes // sigma.size))
     for shift in np.unique(c):
-        rows = c == shift
         s = int(shift)
-        lo, hi = max(s, 0), min(n - 1 + s, n)
+        group = np.flatnonzero(c == shift)
+        lo, hi = max(s, 0), min(n - 1 + s, n)  # output nodes inside the box
+        a, b = lo - s, hi - s
         if lo < hi:
-            q0, q1 = lo * step, length - (n - hi) * step
-            w_rows = [np.where(rows, w, 0.0).reshape(n_rows, 1) for w in weights]
-            for r0 in range(0, n_rows, block):
-                r = slice(r0, r0 + block)
-                dst = flat_out[r, q0:q1]
-                term = scratch[: dst.shape[0], q0:q1]
-                for w, src, offset in zip(w_rows, sources, (0, 1, 0, 1)):
-                    k = (s - offset) * step
-                    dst += np.multiply(w[r], src[r, q0 - k : q1 - k], out=term)
-            if step * n < length:
-                keep = np.where(rows, 0.0, 1.0)
-                for j in (*range(lo), *range(hi, n)):
-                    out[column(j)] *= keep
+            for r0 in range(0, group.size, block):
+                rows = group[r0 : r0 + block]
+                f = src[rows]
+                m = (f.reshape(-1, n) @ curvature_t).reshape(f.shape)
+                w = weights[:, rows, None, None]
+                term = w[0] * f[..., a:b]
+                term += w[1] * f[..., a + 1 : b + 1]
+                term += w[2] * m[..., a:b]
+                term += w[3] * m[..., a + 1 : b + 1]
+                dst[rows, :, lo:hi] = term
         edge = n - 1 + s
         if 0 <= edge < n:
-            out[column(edge)] += np.where(rows & on_edge, 1.0, 0.0) * values[column(n - 1)]
+            rows = group[on_edge[group]]
+            dst[rows, :, edge] = src[rows, :, n - 1]
     return out
 
 
@@ -436,11 +423,13 @@ def advect_v(
     Natural cubic splines along each velocity axis.  Their second
     derivatives come from one cached dense operator applied along the axis
     as a matrix product; the shift is uniform along each row, so the
-    interpolant is a 2-point stencil with per-row weights, accumulated with
-    slices (see _kick_axis).  Any shift is handled; only displacements
-    larger than the whole velocity extent are rejected (that is a
-    configuration error, not a numerical one).  Returns the new field and
-    the mass added by clipping overshoot.
+    interpolant is a 2-point stencil with per-row weights, evaluated per
+    group of rows with the same whole-cell shift, a block of rows at a time
+    (see _kick_axis).  Besides one output per velocity axis, its scratch is
+    a few blocks of at most KICK_SCRATCH_BYTES.  Any shift is handled; only
+    displacements larger than the whole velocity extent are rejected (that
+    is a configuration error, not a numerical one).  Returns the new field
+    and the mass added by clipping overshoot.
     """
     d = f.dimension
     acceleration = np.asarray(acceleration, dtype=float)

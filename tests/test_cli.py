@@ -159,6 +159,8 @@ class TestConfig:
             (("v_max = auto", "v_max = 2.0"), "cannot contain the state"),
             (("delta = 0.2", "delta = 0.95"), r"delta must lie in \[0, 0.9\]"),
             (("theta = 0.4", "theta = 0.4\nprofile = random\nmax_mode = 0"), "max_mode must be >= 1"),
+            (("theta = 0.4", "theta = 0.4\nprofile = random\nseed = -102"), "profile random needs seed >= -101"),
+            (("u0 = zero", "u0 = random_bandlimited\nseed = -1"), "random_bandlimited needs seed >= 0"),
         ],
     )
     def test_rejections(self, tmp_path, mutation, match):
@@ -262,6 +264,20 @@ class TestSimulateVerb:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("theta = 0.4", "theta = 0.4\nprofile = random\nseed = -102"),
+            ("u0 = zero", "u0 = random_bandlimited\nseed = -1"),
+        ],
+    )
+    def test_unusable_seed_exits_2_and_names_the_key(self, tmp_path, capsys, old, new):
+        path = tmp_path / "seed.cfg"
+        path.write_text(TINY.replace(old, new))
+        code = main(["simulate", "--config", str(path), "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert "needs seed >= " in capsys.readouterr().err
 
 
 class TestSweepVerb:

@@ -13,6 +13,8 @@ accuracy, still reproduce a state bitwise under a zero shift, and fail on
 the same nodes with the same messages.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from quasikin.grids import (
     moments,
     stress_moments,
 )
+from quasikin import vlasov
 from quasikin.vlasov import _b3, _clip_negative, _stream_transfer, advect_v, advect_x
 
 RTOL = 1e-13
@@ -297,6 +300,56 @@ class TestKickMatchesOracle:
         g, clipped = advect_v(f, np.zeros((dimension,) + f.x_grid.shape), 0.1)
         assert g.values.tobytes() == f.values.tobytes()
         assert clipped == 0.0
+
+
+def _kick_agrees(f: PhaseField, sigma: np.ndarray) -> None:
+    """advect_v with shifts ``sigma`` (in cells) against the oracle."""
+    dt = f.v_grid.h_v  # sigma = acceleration * (dt / h_v) exactly
+    new, new_clipped = advect_v(f, sigma, dt)
+    old, old_clipped = oracle_advect_v(f, sigma, dt)
+    _agree(new, new_clipped, old, old_clipped, f)
+    still = np.all(sigma == 0.0, axis=0)
+    assert new.values[still].tobytes() == f.values[still].tobytes()
+
+
+class TestKickBlocks:
+    """The kick gathers each shift group's rows in blocks of at most
+    KICK_SCRATCH_BYTES; a group that spans many blocks must not notice."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=kick_cases())
+    def test_one_row_blocks_match_oracle(self, case):
+        # Every block holds one row, so each group spans as many blocks as
+        # it has rows, and the groups' rows interleave.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vlasov, "KICK_SCRATCH_BYTES", 1)
+            _kick_agrees(*case)
+
+    def test_groups_span_blocks_at_the_shipped_size(self):
+        f = _state(2, 16, 32, seed=6)
+        sigma = np.random.default_rng(6).uniform(-1.5, 1.5, (2, 16, 16))
+        sigma[:, ::5, ::3] = 0.0
+        block = vlasov.KICK_SCRATCH_BYTES // f.values[0, 0].nbytes
+        for shifts in sigma:
+            _, rows = np.unique(np.ceil(shifts), return_counts=True)
+            assert rows.max() > block
+        _kick_agrees(f, sigma)
+
+    def test_allocation_peak(self):
+        # Two phase-space arrays (one output per axis) and a few row blocks:
+        # the previous kernel peaked at 25.4 MiB on this state.
+        f = _state(2, 32, 32, seed=0, v_max=6.0)
+        sigma = np.random.default_rng(0).uniform(-1.2e-3, 1.2e-3, (2, 32, 32))
+        advect_v(f, sigma, f.v_grid.h_v)  # build the cached spline operator
+        tracemalloc.start()
+        try:
+            advect_v(f, sigma, f.v_grid.h_v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 2 * f.values.nbytes + 6 * vlasov.KICK_SCRATCH_BYTES
+        assert peak <= bound
+        assert peak < 25.4 * 2**20
 
 
 class TestStreamMatchesOracle:
