@@ -22,13 +22,16 @@ mass of every velocity slice to roundoff.
 
 Velocity advection uses natural cubic splines.  Every row along a velocity
 axis shares one tridiagonal system, so the spline's second derivatives come
-from one cached dense operator applied as a matrix product; the shift is
-uniform along each row, so evaluating the spline is a 2-point stencil with
-per-row weights.  It is evaluated for one group of rows at a time, the
-rows that share a whole-cell shift, in blocks of rows that keep its
-scratch small.  The distribution is 0 beyond the velocity box (outflow by
-truncation); negative interpolation overshoot is clipped to keep f >= 0,
-and the mass added by clipping is reported with each substep.
+from one cached dense operator; the shift is uniform along each row, so
+evaluating the spline is a 2-point stencil with per-row weights.  In 1-d
+the stencil is evaluated for one group of rows at a time, the rows that
+share a whole-cell shift.  In 2-d the shift of one spatial node's velocity
+slab along each axis is a fixed n x n matrix, built from a cached basis per
+whole-cell shift, so the kick is two small matrix products per node.  Both
+work in blocks that keep their scratch small.  The distribution is 0
+beyond the velocity box (outflow by truncation); negative interpolation
+overshoot is clipped to keep f >= 0, and the mass added by clipping is
+reported with each substep.
 
 Diagnostics are evaluated on the end-of-step state with a *fresh* field
 solve at that time; mixing the half-step potential with end-step moments
@@ -72,7 +75,7 @@ __all__ = [
 
 FIELD_MODES = ("monge_ampere", "poisson", "none")
 VELOCITY_MARGIN_SIGMAS = 6.0  # v_max must cover u_max + 6 sqrt(theta)
-KICK_SCRATCH_BYTES = 1 << 18  # bytes in one block of rows the kick gathers
+KICK_SCRATCH_BYTES = 1 << 19  # bytes in one block of rows or slabs the kick takes
 
 
 @dataclass(frozen=True)
@@ -351,33 +354,23 @@ def _spline_curvature_operator(n: int, h: float) -> np.ndarray:
     a[i, i - 1] = a[i, i + 1] = 1.0
     d2[i, i - 1] = d2[i, i + 1] = 1.0
     d2[i, i] = -2.0
-    # Fortran order, so the K.T that the kick multiplies by is C-ordered.
+    # Fortran order, so the K.T that the 1-d kick multiplies by is C-ordered.
     k = np.asfortranarray(np.linalg.solve(a, d2) * (6.0 / h**2))
     k.flags.writeable = False
     return k
 
 
-def _kick_axis(values: np.ndarray, sigma: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Shift every row along velocity ``axis`` (-1 or -2) by its own sigma.
+def _shift_weights(
+    sigma: np.ndarray, n: int, h: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whole-cell shifts, stencil weights and edge flags for shifts ``sigma``.
 
-    ``sigma`` holds one displacement in cells per spatial node, shaped
-    ``x_shape + (1,) * d``.  Output node j samples the row's natural spline
-    at g = j - sigma, which lies in the interval [j - c, j - c + 1] at
-    offset t = c - sigma, with c = ceil(sigma): a 2-point stencil in f and
-    in the spline's second derivatives M, with per-row weights.  Positions
-    outside [0, n - 1] give 0 (outflow).  A zero shift reproduces the row
-    bitwise: its weights are exactly (1, 0, 0, 0).
-
-    The input and the output are viewed as (spatial node, other velocity
-    index, kicked node), so every slice is on the last axis.  The rows of
-    each distinct c are gathered a block of at most KICK_SCRATCH_BYTES at a
-    time: the block's M is one matrix product, and its stencil is written to
-    the group's output nodes only.  Every other node of the group's rows
-    stays 0, except the edge node below.
+    Output node j samples a row's natural spline at g = j - sigma, which
+    lies in [j - c, j - c + 1] at offset t = c - sigma, with c = ceil(sigma):
+    out[j] = w0 f[j-c] + w1 f[j-c+1] + w2 M[j-c] + w3 M[j-c+1], with M the
+    spline's second derivatives.  Returns c, the weights (4, sigma.size) and
+    the edge flags.  A zero shift has weights exactly (1, 0, 0, 0).
     """
-    n = values.shape[axis]
-    curvature_t = _spline_curvature_operator(n, h).T
-    sigma = sigma.reshape(-1)
     c = np.ceil(sigma)
     t = c - sigma
     one_t = 1.0 - t
@@ -388,10 +381,78 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, axis: int, h: float) -> np
     # rounded onto it when t is below half an ulp of n - 1: either way it
     # takes f[n - 1], as evaluating at the rounded g would.
     on_edge = (n - 1 + c) - sigma <= n - 1
+    return c, weights, on_edge
 
-    out = np.zeros(values.shape)  # C-ordered, so dst is a view of it
-    src, dst = (np.swapaxes(arr, axis, -1).reshape(sigma.size, -1, n) for arr in (values, out))
-    block = max(1, KICK_SCRATCH_BYTES // (values.nbytes // sigma.size))
+
+@lru_cache(maxsize=64)
+def _shift_basis(n: int, h: float, c: int, transposed: bool) -> np.ndarray:
+    """The natural-spline shift by whole-cell part c, as 5 flat n x n matrices.
+
+    The shift operator S with out = S f is w0 B0 + w1 B1 + w2 B2 + w3 B3 +
+    edge B4 (see _shift_weights): B0 and B1 pick f[j - c] and f[j - c + 1]
+    for every output node j inside the box, B2 and B3 the matching rows of
+    K, and B4 is the edge node's f[n - 1].  With ``transposed`` each B is
+    transposed, so the same weights give S^T.  Read-only: the cached array
+    is shared by every call with the same key.
+    """
+    k = _spline_curvature_operator(n, h)
+    basis = np.zeros((5, n, n))
+    j = np.arange(max(c, 0), min(n - 1 + c, n))  # output nodes inside the box
+    basis[0, j, j - c] = 1.0
+    basis[1, j, j - c + 1] = 1.0
+    basis[2, j] = k[j - c]
+    basis[3, j] = k[j - c + 1]
+    if 0 <= n - 1 + c < n:
+        basis[4, n - 1 + c, n - 1] = 1.0
+    if transposed:
+        basis = basis.transpose(0, 2, 1)
+    basis = basis.reshape(5, n * n)  # a C-ordered copy when transposed
+    basis.flags.writeable = False
+    return basis
+
+
+def _shift_operators(
+    shifts: tuple[np.ndarray, np.ndarray, np.ndarray],
+    nodes: slice,
+    n: int,
+    h: float,
+    transposed: bool,
+) -> np.ndarray:
+    """The n x n shift operators (or their transposes) of a block of nodes.
+
+    ``shifts`` is what _shift_weights returns for every node.  One small
+    GEMM per distinct c in the block: (nodes, 5) @ (5, n * n), the 5
+    weights being the stencil's 4 and the edge flag.
+    """
+    c, weights, on_edge = shifts
+    c = c[nodes]
+    coef = np.vstack([weights[:, nodes], on_edge[nodes]]).T
+    ops = np.empty((c.size, n * n))
+    for shift in np.unique(c):
+        group = np.flatnonzero(c == shift)
+        ops[group] = coef[group] @ _shift_basis(n, h, int(shift), transposed)
+    return ops.reshape(-1, n, n)
+
+
+def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
+    """Shift the velocity row of every node of a 1-d state by its own sigma.
+
+    ``values`` is (spatial node, velocity node) and ``sigma`` holds one
+    displacement in cells per spatial node.  The row's natural spline is a
+    2-point stencil in f and in its second derivatives M (_shift_weights).
+    Positions outside [0, n - 1] give 0 (outflow).  A zero shift reproduces
+    the row bitwise.
+
+    The rows of each distinct c are gathered a block of at most
+    KICK_SCRATCH_BYTES at a time: the block's M is one matrix product, and
+    its stencil is written to the group's output nodes only.  Every other
+    node of the group's rows stays 0, except the edge node.
+    """
+    n = values.shape[-1]
+    curvature_t = _spline_curvature_operator(n, h).T
+    c, weights, on_edge = _shift_weights(sigma, n, h)
+    out = np.zeros(values.shape)
+    block = max(1, KICK_SCRATCH_BYTES // (n * values.itemsize))
     for shift in np.unique(c):
         s = int(shift)
         group = np.flatnonzero(c == shift)
@@ -400,18 +461,40 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, axis: int, h: float) -> np
         if lo < hi:
             for r0 in range(0, group.size, block):
                 rows = group[r0 : r0 + block]
-                f = src[rows]
-                m = (f.reshape(-1, n) @ curvature_t).reshape(f.shape)
-                w = weights[:, rows, None, None]
-                term = w[0] * f[..., a:b]
-                term += w[1] * f[..., a + 1 : b + 1]
-                term += w[2] * m[..., a:b]
-                term += w[3] * m[..., a + 1 : b + 1]
-                dst[rows, :, lo:hi] = term
+                f = values[rows]
+                m = f @ curvature_t
+                w = weights[:, rows, None]
+                term = w[0] * f[:, a:b]
+                term += w[1] * f[:, a + 1 : b + 1]
+                term += w[2] * m[:, a:b]
+                term += w[3] * m[:, a + 1 : b + 1]
+                out[rows, lo:hi] = term
         edge = n - 1 + s
         if 0 <= edge < n:
             rows = group[on_edge[group]]
-            dst[rows, :, edge] = src[rows, :, n - 1]
+            out[rows, edge] = values[rows, n - 1]
+    return out
+
+
+def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
+    """Shift the velocity slab of every node of a 2-d state by its own sigma.
+
+    ``values`` is (x1, x2, v1, v2) and ``sigma`` (2, x1, x2) in cells.  Each
+    node's kick is out = S1 f S2^T with S_b its shift operator along v_b
+    (_shift_operators), v1 first, computed a block of at most
+    KICK_SCRATCH_BYTES of nodes at a time into one output.
+    """
+    n = values.shape[-1]
+    src = np.ascontiguousarray(values).reshape(-1, n, n)
+    out = np.empty(values.shape)
+    dst = out.reshape(src.shape)
+    first, second = (_shift_weights(s, n, h) for s in sigma.reshape(2, -1))
+    block = max(1, KICK_SCRATCH_BYTES // (n * n * values.itemsize))
+    for r0 in range(0, len(src), block):
+        r = slice(r0, r0 + block)
+        kicked = _shift_operators(first, r, n, h, transposed=False) @ src[r]
+        s2_t = _shift_operators(second, r, n, h, transposed=True)
+        np.matmul(kicked, s2_t, out=dst[r])
     return out
 
 
@@ -420,16 +503,17 @@ def advect_v(
 ) -> tuple[PhaseField, float]:
     """Kick update f(x, xi) <- f(x, xi - a(x) dt), zero outside the box.
 
-    Natural cubic splines along each velocity axis.  Their second
-    derivatives come from one cached dense operator applied along the axis
-    as a matrix product; the shift is uniform along each row, so the
-    interpolant is a 2-point stencil with per-row weights, evaluated per
-    group of rows with the same whole-cell shift, a block of rows at a time
-    (see _kick_axis).  Besides one output per velocity axis, its scratch is
-    a few blocks of at most KICK_SCRATCH_BYTES.  Any shift is handled; only
-    displacements larger than the whole velocity extent are rejected (that
-    is a configuration error, not a numerical one).  Returns the new field
-    and the mass added by clipping overshoot.
+    Natural cubic splines along each velocity axis; the shift is uniform
+    along each row, so the interpolant is a 2-point stencil in f and in the
+    spline's second derivatives, which one cached dense operator gives.  A
+    1-d state runs that stencil per group of rows with the same whole-cell
+    shift (_kick_axis).  In 2-d each node's velocity slab is kicked as two
+    small matrix products with its shift operators (_kick_2d).  Besides the
+    output, the scratch of either is a few blocks of at most
+    KICK_SCRATCH_BYTES.  Any shift is handled; only displacements larger
+    than the whole velocity extent are rejected (that is a configuration
+    error, not a numerical one).  Returns the new field and the mass added
+    by clipping overshoot.
     """
     d = f.dimension
     acceleration = np.asarray(acceleration, dtype=float)
@@ -445,11 +529,11 @@ def advect_v(
             "the field or dt is misconfigured"
         )
     h_v = f.v_grid.h_v
-    row_shape = f.x_grid.shape + (1,) * d
-    values = f.values
-    for b in range(d):
-        sigma = (acceleration[b] * (dt / h_v)).reshape(row_shape)
-        values = _kick_axis(values, sigma, b - d, h_v)
+    sigma = acceleration * (dt / h_v)
+    if d == 1:
+        values = _kick_axis(f.values, sigma[0], h_v)
+    else:
+        values = _kick_2d(f.values, sigma, h_v)
     clipped = _clip_negative(values, f.phase_volume)
     return PhaseField(f.x_grid, f.v_grid, values, f.time), clipped
 

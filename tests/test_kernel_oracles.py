@@ -313,8 +313,9 @@ def _kick_agrees(f: PhaseField, sigma: np.ndarray) -> None:
 
 
 class TestKickBlocks:
-    """The kick gathers each shift group's rows in blocks of at most
-    KICK_SCRATCH_BYTES; a group that spans many blocks must not notice."""
+    """The 1-d kick gathers each shift group's rows, and the 2-d kick takes
+    spatial nodes, in blocks of at most KICK_SCRATCH_BYTES; a kick that
+    spans many blocks must not notice."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=kick_cases())
@@ -326,30 +327,84 @@ class TestKickBlocks:
             _kick_agrees(*case)
 
     def test_groups_span_blocks_at_the_shipped_size(self):
+        # A 2-d state whose nodes fill several blocks at the shipped block
+        # size, with several whole-cell shifts on each axis in every block.
         f = _state(2, 16, 32, seed=6)
         sigma = np.random.default_rng(6).uniform(-1.5, 1.5, (2, 16, 16))
         sigma[:, ::5, ::3] = 0.0
         block = vlasov.KICK_SCRATCH_BYTES // f.values[0, 0].nbytes
+        nodes = f.x_grid.shape[0] * f.x_grid.shape[1]
+        assert nodes >= 3 * block
         for shifts in sigma:
-            _, rows = np.unique(np.ceil(shifts), return_counts=True)
-            assert rows.max() > block
+            c = np.ceil(shifts).reshape(-1)
+            for r0 in range(0, nodes, block):
+                assert np.unique(c[r0 : r0 + block]).size >= 2
         _kick_agrees(f, sigma)
 
     def test_allocation_peak(self):
-        # Two phase-space arrays (one output per axis) and a few row blocks:
-        # the previous kernel peaked at 25.4 MiB on this state.
+        # The output and a few blocks of nodes: the per-group kernel peaked
+        # at 17.2 MiB on this state, the one before it at 25.4 MiB.
         f = _state(2, 32, 32, seed=0, v_max=6.0)
         sigma = np.random.default_rng(0).uniform(-1.2e-3, 1.2e-3, (2, 32, 32))
-        advect_v(f, sigma, f.v_grid.h_v)  # build the cached spline operator
+        advect_v(f, sigma, f.v_grid.h_v)  # build the cached spline bases
         tracemalloc.start()
         try:
             advect_v(f, sigma, f.v_grid.h_v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 2 * f.values.nbytes + 6 * vlasov.KICK_SCRATCH_BYTES
-        assert peak <= bound
+        assert peak <= f.values.nbytes + 5 * vlasov.KICK_SCRATCH_BYTES
+        assert peak < 12 * 2**20
         assert peak < 25.4 * 2**20
+
+
+def _below_half_ulp(c: int, k: int) -> float:
+    """A shift just below the integer c: t = c - sigma is about k * 1e-16."""
+    return float(c) - k * 1e-16
+
+
+ROW_SHIFTS = st.one_of(
+    st.floats(-3.5, 3.5, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]),
+    st.floats(1.0, 6.0).flatmap(lambda s: st.sampled_from([s, -s])),  # |c| >= 2
+    st.builds(_below_half_ulp, st.integers(-3, 3), st.integers(1, 8)),
+)
+
+
+class TestShiftOperators:
+    """The 2-d kick's n x n shift operators against the 1-d stencil."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.sampled_from([4, 7, 16, 32]),
+        sigma=hnp.arrays(np.float64, st.integers(1, 6), elements=ROW_SHIFTS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_operator_matches_stencil(self, n, sigma, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((sigma.size, n)) * (rng.random((sigma.size, n)) < 0.7)
+        rows[rng.random(rows.shape) < 0.05] *= 50.0
+        h = 0.3
+        stencil = vlasov._kick_axis(rows, sigma, h)
+        shifts = vlasov._shift_weights(sigma, n, h)
+        nodes = slice(None)
+        ops = vlasov._shift_operators(shifts, nodes, n, h, transposed=False)
+        ops_t = vlasov._shift_operators(shifts, nodes, n, h, transposed=True)
+        bound = RTOL * float(np.abs(rows).max())
+        assert np.abs((ops @ rows[:, :, None])[..., 0] - stencil).max() <= bound
+        assert np.abs((rows[:, None, :] @ ops_t)[:, 0] - stencil).max() <= bound
+
+    def test_basis_is_cached_and_read_only(self):
+        f = _state(2, 4, 8, 0)
+        sigma = np.random.default_rng(0).uniform(-1.5, 1.5, (2, 4, 4))
+        first, _ = advect_v(f, sigma, f.v_grid.h_v)
+        second, _ = advect_v(f, sigma, f.v_grid.h_v)
+        assert first.values.tobytes() == second.values.tobytes()
+        for transposed in (False, True):
+            basis = vlasov._shift_basis(8, f.v_grid.h_v, 1, transposed)
+            assert basis is vlasov._shift_basis(8, f.v_grid.h_v, 1, transposed)
+            assert not basis.flags.writeable
+            assert basis.shape == (5, 64)
 
 
 class TestStreamMatchesOracle:
