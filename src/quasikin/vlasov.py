@@ -12,13 +12,17 @@ semi-Lagrangian with cubic interpolation, hence unconditionally stable in
 the advection CFL sense; the params-level dt bound exists to control
 splitting error, not stability.
 
-Spatial advection uses the periodic cubic-spline interpolant applied in
-Fourier space: for each velocity node the displacement is uniform in x, so
-the whole update is one multiplication by a circulant transfer function.
-The transfer depends only on the grid and the substep, so it is built once
-and cached; it is Hermitian in k, so real-to-complex FFTs carry the update.
-That transfer is exactly 1 at k = 0, so spatial advection conserves the
-mass of every velocity slice to roundoff.
+Spatial advection uses the periodic cubic-spline interpolant.  For each
+velocity node the displacement is uniform in x, so the shift along one
+x-axis is a circulant map: a multiplication by its transfer function in
+Fourier space, or by a real n_x x n_x circulant matrix in x.  Both depend
+only on the grid and the substep, so they are built once and cached.  A
+1-d state is shifted with real-to-complex FFTs.  In 2-d each velocity node
+(k1, k2) is updated as T_k1 f T_k2^T, computed as two passes of small
+matrix products, one per x-axis, each a row or slab of the state at a
+time.  The transfer is exactly 1 at k = 0, and each matrix's columns sum
+to 1 to roundoff, so spatial advection conserves the mass of every
+velocity slice to roundoff.
 
 Velocity advection uses natural cubic splines.  Every row along a velocity
 axis shares one tridiagonal system, so the spline's second derivatives come
@@ -288,7 +292,9 @@ def _stream_transfer(x_grid: TorusGrid, v_grid: VelocityGrid, dt: float) -> np.n
 
     Shape (n_x, n_v) in FFT wavenumber layout, one column per velocity node.
     It is Hermitian in k and real at k = 0 and at Nyquist, so its first
-    n_x/2 + 1 rows serve real-to-complex transforms.
+    n_x/2 + 1 rows serve the 1-d stream's real-to-complex transforms, and
+    the inverse DFT of each column is the real kernel of the 2-d stream's
+    circulant matrices (_stream_operators).
     Read-only: the cached array is shared by every call with the same key.
     """
     kappa = 2.0 * np.pi * x_grid.wavenumbers_int() / x_grid.n_x
@@ -307,33 +313,65 @@ def _stream_transfer(x_grid: TorusGrid, v_grid: VelocityGrid, dt: float) -> np.n
     return transfer
 
 
+@lru_cache(maxsize=16)
+def _stream_operators(x_grid: TorusGrid, v_grid: VelocityGrid, dt: float) -> np.ndarray:
+    """The stream's shift along one x-axis as real circulant matrices.
+
+    Shape (n_v, n_x, n_x): T_k maps a line along an x-axis to its shift by
+    ``xi_k dt``, T_k[i, j] = c_k[(i - j) mod n_x], with c_k the inverse DFT
+    of column k of _stream_transfer.  Read-only: the cached array is shared
+    by every call with the same key.
+    """
+    kernel = np.fft.ifft(_stream_transfer(x_grid, v_grid, dt), axis=0).real
+    i = np.arange(x_grid.n_x)
+    ops = np.ascontiguousarray(kernel[(i[:, None] - i) % x_grid.n_x].transpose(2, 0, 1))
+    ops.flags.writeable = False
+    return ops
+
+
+def _stream_2d(values: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Stream a 2-d state (x1, x2, v1, v2): each node (k1, k2) gets T_k1 f T_k2^T.
+
+    Pass 1 shifts along x2, one x1 row at a time, with the operator of each
+    v2 node; pass 2 shifts along x1, one x2 slab at a time and in place,
+    with the operator of each v1 node.  Each pass copies its row or slab to
+    (velocity node, x, velocity node) order, so every product is a plain
+    stack of n_x x n_x GEMMs.
+    """
+    out = np.empty(values.shape)
+    for i, row in enumerate(values):
+        lines = np.ascontiguousarray(row.transpose(2, 0, 1))
+        out[i] = np.matmul(ops, lines).transpose(1, 2, 0)
+    for j in range(out.shape[1]):
+        slab = out[:, j]
+        lines = np.ascontiguousarray(slab.transpose(1, 0, 2))
+        slab[...] = np.matmul(ops, lines).transpose(1, 0, 2)
+    return out
+
+
 def advect_x(f: PhaseField, dt: float) -> tuple[PhaseField, float]:
     """Exact-in-time streaming update f(x, xi) <- f(x - xi dt, xi).
 
-    Per x-axis, each velocity slice is shifted by a uniform displacement via
-    the Fourier transfer function of periodic cubic-spline interpolation,
-    built once per (n_x, velocity nodes, dt) and cached.  The last x-axis
-    uses a real-to-complex FFT; in 2-d the other x-axis is transformed
-    with a complex FFT on that half spectrum.  The k = 0 transfer is
-    exactly 1, so each slice keeps its mass; the returned float is the
-    (tiny) mass added by clipping overshoot.
+    Per x-axis, each velocity slice is shifted by a uniform displacement
+    with periodic cubic-spline interpolation, whose operators are built
+    once per (grids, dt) and cached.  A 1-d state is multiplied by the
+    Fourier transfer (_stream_transfer) between a real-to-complex FFT and
+    its inverse.  A 2-d state is multiplied by the equivalent real
+    circulant matrices (_stream_operators) in two passes of small GEMMs,
+    one per x-axis (_stream_2d).  Each slice keeps its mass to roundoff;
+    the returned float is the (tiny) mass added by clipping overshoot.
+    A non-finite dt is rejected.
     """
-    d = f.dimension
-    n_x = f.x_grid.n_x
-    n_v = f.v_grid.n_v
-    transfer = _stream_transfer(f.x_grid, f.v_grid, dt)
-    half = n_x // 2 + 1
-    last = d - 1
-    shape = [1] * (2 * d)
-    shape[last] = half
-    shape[d + last] = n_v
-    spectrum = np.fft.rfft(f.values, axis=last)
-    spectrum *= transfer[:half].reshape(shape)
-    if d == 2:
-        spectrum = np.fft.fft(spectrum, axis=0)
-        spectrum *= transfer.reshape(n_x, 1, n_v, 1)
-        spectrum = np.fft.ifft(spectrum, axis=0)
-    values = np.fft.irfft(spectrum, n=n_x, axis=last)
+    if not np.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
+    if f.dimension == 1:
+        n_x = f.x_grid.n_x
+        transfer = _stream_transfer(f.x_grid, f.v_grid, dt)
+        spectrum = np.fft.rfft(f.values, axis=0)
+        spectrum *= transfer[: n_x // 2 + 1]
+        values = np.fft.irfft(spectrum, n=n_x, axis=0)
+    else:
+        values = _stream_2d(f.values, _stream_operators(f.x_grid, f.v_grid, dt))
     clipped = _clip_negative(values, f.phase_volume)
     return PhaseField(f.x_grid, f.v_grid, values, f.time), clipped
 

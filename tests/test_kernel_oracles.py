@@ -31,7 +31,14 @@ from quasikin.grids import (
     stress_moments,
 )
 from quasikin import vlasov
-from quasikin.vlasov import _b3, _clip_negative, _stream_transfer, advect_v, advect_x
+from quasikin.vlasov import (
+    _b3,
+    _clip_negative,
+    _stream_operators,
+    _stream_transfer,
+    advect_v,
+    advect_x,
+)
 
 RTOL = 1e-13
 
@@ -422,6 +429,33 @@ class TestStreamMatchesOracle:
         old, old_clipped = oracle_advect_x(f, dt)
         _agree(new, new_clipped, old, old_clipped, f)
 
+    @pytest.mark.parametrize("dt", [1.25e-3, 0.03])
+    def test_shipped_size(self, dt):
+        # The 2-d scenarios' grids and stream substep, and a substep whose
+        # fastest velocity nodes move up to 5.8 cells.
+        f = _state(2, 32, 32, seed=3, v_max=6.0)
+        new, new_clipped = advect_x(f, dt)
+        old, old_clipped = oracle_advect_x(f, dt)
+        _agree(new, new_clipped, old, old_clipped, f)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("layout", ["fortran", "transposed"])
+    def test_any_memory_layout(self, dimension, layout):
+        f = _state(dimension, 6, 7, seed=5)
+        expected, expected_clipped = advect_x(f, 0.3)
+        axes = tuple(reversed(range(2 * dimension)))
+        if layout == "fortran":
+            values = np.asfortranarray(f.values)
+        else:
+            values = np.ascontiguousarray(f.values.transpose(axes)).transpose(axes)
+        assert not values.flags.c_contiguous
+        g = PhaseField(f.x_grid, f.v_grid, values, 0.0)
+        new, new_clipped = advect_x(g, 0.3)
+        old, old_clipped = oracle_advect_x(g, 0.3)
+        _agree(new, new_clipped, old, old_clipped, g)
+        assert new.values.tobytes() == expected.values.tobytes()
+        assert new_clipped == expected_clipped
+
     def test_transfer_is_cached_and_read_only(self):
         f = _state(2, 8, 8, 0)
         first, _ = advect_x(f, 0.01)
@@ -430,6 +464,23 @@ class TestStreamMatchesOracle:
         transfer = _stream_transfer(f.x_grid, f.v_grid, 0.01)
         assert transfer is _stream_transfer(f.x_grid, f.v_grid, 0.01)
         assert not transfer.flags.writeable
+        ops = _stream_operators(f.x_grid, f.v_grid, 0.01)
+        assert ops is _stream_operators(f.x_grid, f.v_grid, 0.01)
+        assert not ops.flags.writeable
+        assert ops.shape == (8, 8, 8)
+
+    def test_allocation_peak(self):
+        # The output and one row's scratch: the four strided FFTs this
+        # kernel replaced peaked at 17.5 MiB on this state.
+        f = _state(2, 32, 32, seed=0, v_max=6.0)
+        advect_x(f, 1.25e-3)  # build the cached operators
+        tracemalloc.start()
+        try:
+            advect_x(f, 1.25e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 def _close(new: np.ndarray, old: np.ndarray) -> None:

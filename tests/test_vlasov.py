@@ -22,6 +22,8 @@ from quasikin.grids import (
 from quasikin.monge_ampere import solve_field
 from quasikin.vlasov import (
     SimulationParams,
+    _stream_operators,
+    _stream_transfer,
     WellPreparedIC,
     advect_v,
     advect_x,
@@ -119,23 +121,40 @@ class TestWellPreparedIC:
 
 
 class TestAdvectX:
-    def test_uniform_in_x_is_invariant(self):
-        x_grid, v_grid = TorusGrid(1, 32), VelocityGrid(1, 48, 4.0)
-        base = maxwellian(v_grid, 1.0, [0.2], 0.4)
-        f = PhaseField(x_grid, v_grid, np.broadcast_to(base, (32, 48)).copy(), 0.0)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_uniform_in_x_is_invariant(self, d):
+        n_x, n_v = (32, 48) if d == 1 else (16, 24)
+        x_grid, v_grid = TorusGrid(d, n_x), VelocityGrid(d, n_v, 4.0)
+        base = maxwellian(v_grid, 1.0, [0.2, -0.1][:d], 0.4)
+        values = np.broadcast_to(base, x_grid.shape + v_grid.shape).copy()
+        f = PhaseField(x_grid, v_grid, values, 0.0)
         g, clipped = advect_x(f, 0.017)
         assert np.abs(g.values - f.values).max() <= 1e-14 * f.values.max()
         assert clipped == 0.0
 
-    def test_slice_mass_is_exact(self):
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_slice_mass_is_exact(self, d):
         rng = np.random.default_rng(4)
-        x_grid, v_grid = TorusGrid(1, 32), VelocityGrid(1, 16, 3.0)
-        values = 0.5 + rng.random((32, 16))  # positive, rough
+        x_grid, v_grid = TorusGrid(d, 32 if d == 1 else 16), VelocityGrid(d, 16, 3.0)
+        values = 0.5 + rng.random(x_grid.shape + v_grid.shape)  # positive, rough
         f = PhaseField(x_grid, v_grid, values, 0.0)
-        g, _ = advect_x(f, 0.013)
-        before = values.sum(axis=0)
-        after = g.values.sum(axis=0)
+        g, clipped = advect_x(f, 0.013)
+        assert clipped == 0.0
+        xaxes = tuple(range(d))
+        before = values.sum(axis=xaxes)
+        after = g.values.sum(axis=xaxes)
         assert np.abs(after - before).max() <= 1e-12 * before.max()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, d, dt):
+        x_grid, v_grid = TorusGrid(d, 4), VelocityGrid(d, 8, 2.0)
+        f = PhaseField(x_grid, v_grid, np.ones(x_grid.shape + v_grid.shape), 0.0)
+        caches = (_stream_transfer, _stream_operators)
+        before = [cache.cache_info() for cache in caches]
+        with pytest.raises(ValueError, match="dt must be finite"):
+            advect_x(f, dt)
+        assert [cache.cache_info() for cache in caches] == before  # never looked up
 
     def test_free_streaming_matches_exact_solution_at_high_order(self):
         t_end, steps = 0.25, 10
