@@ -7,21 +7,22 @@ Verbs:
   check     invariant battery -> table (and optional JSON report)
 
 Exit codes: 0 success, 1 check-suite failure, 2 configuration/usage error,
-3 runtime failure.  Set QUASIKIN_THREADS to cap the numerical thread pools
-(must be set before the interpreter first loads numpy to take effect).
+3 runtime failure.  The numerical thread pools default to the CPUs this
+process may run on; set QUASIKIN_THREADS to size them otherwise, or a pool's
+own variable for that pool alone (either must be set before the interpreter
+first loads numpy to take effect).
 """
 
 import os
 
-_threads = os.environ.get("QUASIKIN_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
+_threads = os.environ.get("QUASIKIN_THREADS") or str(len(os.sched_getaffinity(0)))
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ.setdefault(_var, _threads)
 
 import argparse
 import json

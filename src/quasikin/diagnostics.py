@@ -16,6 +16,7 @@ energy (Cauchy-Schwarz applied node by node).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,6 +28,7 @@ from .grids import (
     PhaseField,
     TorusGrid,
     grid_integral,
+    inverse_laplacian_zero_mean,
     l2_norm,
     moments,
     spectral_divergence,
@@ -113,7 +115,10 @@ class DiagnosticsRecord:
     def __post_init__(self) -> None:
         for item in fields(self):
             value = getattr(self, item.name)
-            if value is not None and not np.isfinite(value).all():
+            if value is None:
+                continue
+            parts = value if item.name == "momentum" else (value,)
+            if not all(map(math.isfinite, parts)):
                 raise ValueError(f"non-finite {item.name} = {value!r} at t = {self.t!r}")
         scale = max(1.0, abs(self.e_total))
         if abs(self.e_total - (self.e_kinetic + self.e_field)) > 1e-12 * scale:
@@ -241,20 +246,17 @@ def h_functional(macro: MacroFields, reference_velocity) -> float:
 
 
 def quasineutrality_norm(grid: TorusGrid, rho: np.ndarray) -> float:
-    """Spectral H^{-1} norm of rho - 1 (k = 0 mode excluded)."""
+    """Spectral H^{-1} norm of rho - 1 (k = 0 mode excluded).
+
+    sqrt(mean(r0 (-Lap^{-1} r0))) with r0 = rho - mean(rho), which by
+    Parseval is sqrt(sum_{k != 0} |rho_k|^2 / |2 pi k|^2).
+    """
     if rho.shape != grid.shape:
         raise GridMismatchError(f"density shape {rho.shape} != {grid.shape}")
-    coeff = np.fft.fftn(rho - 1.0) / rho.size
-    k = 2.0 * np.pi * grid.wavenumbers_int()
-    if grid.dimension == 1:
-        k_sq = k**2
-    else:
-        k_sq = k[:, None] ** 2 + k[None, :] ** 2
-    power = np.abs(coeff) ** 2
-    flat_k = k_sq.ravel()
-    flat_p = power.ravel()
-    nonzero = flat_k > 0.0
-    return float(np.sqrt((flat_p[nonzero] / flat_k[nonzero]).sum()))
+    r0 = rho - rho.mean()
+    power = -float((r0 * inverse_laplacian_zero_mean(grid, r0)).mean())
+    # -Lap^{-1} is positive semi-definite; the clamp only guards roundoff.
+    return float(np.sqrt(max(0.0, power)))
 
 
 def _time_quadrature(times: np.ndarray, samples: np.ndarray) -> float:

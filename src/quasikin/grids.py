@@ -3,18 +3,25 @@
 Spatial fields live on the unit torus [0,1)^d (d in {1,2}) sampled at
 ``x_j = j/n_x``; velocity space is the symmetric box [-v_max, v_max]^d with
 cell-centered nodes and uniform midpoint weights ``h_v^d``.  Differential
-operators are pseudo-spectral: exact for band-limited data, with the Nyquist
-mode zeroed on odd derivatives.
+operators are spectral: exact for band-limited data, with the Nyquist mode
+zeroed on odd derivatives.  They are applied as cached, read-only real
+n_x x n_x matrices along each axis (``op f`` in 1-d, ``op f op^T`` in 2-d),
+built in closed form from the real orthonormal Fourier basis Q: the first
+derivative D1, the second derivative D2, the mixed derivative D1 f D1^T, and
+the inverse Laplacian, one matrix in 1-d and Q((Q^T f Q) * S)Q^T in 2-d.  At
+these sizes (64 points, 32^2) a small matrix product costs a fraction of
+an FFT round trip's call overhead.
 
 Velocity moments are BLAS matrix products against a cached feature matrix
-(stacked over the first spatial axis in 2-d); the velocity kick applies its
-spline operator and the BGK match its small Newton systems through BLAS
-and LAPACK as well.  Other reductions go through numpy, whose pairwise
-summation has a fixed order.  What is promised: runs are bit-reproducible
-for the same build, input and thread count.  What is checked beyond that:
-tests/test_thread_determinism.py shows byte-identical diagnostics at 1 and
-2 threads on a 2-d and a 1-d BGK scenario with OpenBLAS 0.3.31.  Other BLAS
-builds may split their sums differently across threads.
+(stacked over the first spatial axis in 2-d), and so are the spectral
+operators above; the velocity kick applies its spline operator and the BGK
+match its small Newton systems through BLAS and LAPACK as well.  Other
+reductions go through numpy, whose pairwise summation has a fixed order.
+What is promised: runs are bit-reproducible for the same build, input and
+thread count.  What is checked beyond that: tests/test_thread_determinism.py
+shows byte-identical diagnostics at 1 and 2 threads on a 2-d and a 1-d BGK
+scenario with OpenBLAS 0.3.31.  Other BLAS builds may split their sums
+differently across threads.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +48,7 @@ __all__ = [
     "spectral_hessian",
     "spectral_laplacian",
     "inverse_laplacian_zero_mean",
+    "real_fourier_basis",
     "grid_integral",
     "l2_norm",
     "random_bandlimited_field",
@@ -299,39 +308,80 @@ def _check_spatial(grid: TorusGrid, field: np.ndarray) -> None:
         raise GridMismatchError(f"field shape {field.shape} != grid shape {grid.shape}")
 
 
-@lru_cache(maxsize=32)
-def _ik_factor(grid: TorusGrid, axis: int) -> np.ndarray:
-    """i * 2 pi k along ``axis`` with the Nyquist mode zeroed, broadcastable.
+class _SpectralOperators(NamedTuple):
+    """Real n_x x n_x operators of the spectral calculus on one axis."""
 
-    Cached per (dimension, n_x, axis) and read-only.
-    """
-    k = grid.wavenumbers_int()
-    ik = 1j * TWO_PI * k
-    ik[grid.n_x // 2] = 0.0  # Nyquist has no well-defined sign for odd derivatives
-    shape = [1] * grid.dimension
-    shape[axis] = grid.n_x
-    return _read_only(ik.reshape(shape))
+    basis: np.ndarray  # Q: real orthonormal Fourier basis, one mode per column
+    d1: np.ndarray  # first derivative, Nyquist mode zeroed
+    d2: np.ndarray  # second derivative, full -(2 pi k)^2 symbol
+    inverse_laplacian: np.ndarray  # 1-d inverse of d2 on zero-mean fields
+    inverse_symbol: np.ndarray  # 2-d: -1/|2 pi k|^2 in Q coordinates, 0 at k = 0
 
 
 @lru_cache(maxsize=32)
-def _k2_factor(grid: TorusGrid) -> np.ndarray:
-    """|2 pi k|^2 on the full FFT mesh (Nyquist included).
+def real_fourier_basis(n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real orthonormal Fourier basis Q on n_x points and each column's |k|.
 
-    Cached per (dimension, n_x) and read-only.
+    Columns: the constant, cos(2 pi k x_j) and sin(2 pi k x_j) for
+    k = 1 .. n_x/2 - 1, then the Nyquist mode (-1)^j, scaled so that
+    Q^T Q = I.  A real symbol s(|k|) acts along an axis as Q diag(s) Q^T.
+    Built in closed form; cached per n_x and read-only.
     """
-    k = TWO_PI * grid.wavenumbers_int()
-    if grid.dimension == 1:
-        return _read_only(k**2)
-    return _read_only((k**2)[:, None] + (k**2)[None, :])
+    half = n_x // 2
+    k = np.arange(1, half)
+    # j k is reduced mod n_x first, so every angle lies in [0, 2 pi).
+    angle = (TWO_PI / n_x) * (np.outer(np.arange(n_x), k) % n_x)
+    q = np.empty((n_x, n_x))
+    q[:, 0] = 1.0 / np.sqrt(n_x)
+    q[:, 1:half] = np.sqrt(2.0 / n_x) * np.cos(angle)
+    q[:, half:-1] = np.sqrt(2.0 / n_x) * np.sin(angle)
+    q[:, -1] = q[:, 0] * (1 - 2 * (np.arange(n_x) % 2))
+    modes = np.concatenate(([0], k, k, [half]))
+    return _read_only(q), _read_only(modes)
+
+
+@lru_cache(maxsize=32)
+def _spectral_operators(n_x: int) -> _SpectralOperators:
+    """The operators for n_x points per axis, cached and read-only."""
+    q, modes = real_fourier_basis(n_x)
+    half = n_x // 2
+    w = TWO_PI * modes
+    # d/dx cos = -w sin and d/dx sin = w cos, so D1 = A - A^T with
+    # A = sum_k w cos_k sin_k^T; the Nyquist column has no partner.
+    a = (q[:, 1:half] * w[1:half]) @ q[:, half:-1].T
+    k2 = w[:, None] ** 2 + w[None, :] ** 2
+    k2[0, 0] = 1.0
+    symbol = -1.0 / k2
+    symbol[0, 0] = 0.0
+    return _SpectralOperators(
+        basis=q,
+        d1=_read_only(a - a.T),
+        d2=_read_only((q * -(w**2)) @ q.T),
+        inverse_laplacian=_read_only((q * symbol[0]) @ q.T),
+        inverse_symbol=_read_only(symbol),
+    )
+
+
+def _along_axis(op: np.ndarray, field: np.ndarray, axis: int) -> np.ndarray:
+    """``op`` applied along one axis of a 1-d or 2-d field.
+
+    One sample along that axis is subtracted first.  Every operator here
+    maps constants to zero, so this changes nothing but roundoff, and a
+    field constant along the axis maps to exactly zero, as it did under
+    the FFT (a plain product leaves a row-sum residue of ~1e-14).
+    """
+    if axis == 0:
+        return op @ (field - field[:1])
+    return (field - field[:, :1]) @ op.T
 
 
 def spectral_gradient(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
     """Gradient of a periodic field, shape (d,) + grid.shape."""
     _check_spatial(grid, field)
-    fhat = np.fft.fftn(field)
+    d1 = _spectral_operators(grid.n_x).d1
     out = np.empty((grid.dimension,) + grid.shape)
     for a in range(grid.dimension):
-        out[a] = np.fft.ifftn(fhat * _ik_factor(grid, a)).real
+        out[a] = _along_axis(d1, field, a)
     return out
 
 
@@ -341,29 +391,27 @@ def spectral_divergence(grid: TorusGrid, vec: np.ndarray) -> np.ndarray:
         raise GridMismatchError(
             f"vector shape {vec.shape} != {(grid.dimension,) + grid.shape}"
         )
-    out = np.zeros(grid.shape, dtype=complex)
-    for a in range(grid.dimension):
-        out += np.fft.fftn(vec[a]) * _ik_factor(grid, a)
-    return np.fft.ifftn(out).real
+    d1 = _spectral_operators(grid.n_x).d1
+    out = _along_axis(d1, vec[0], 0)
+    for a in range(1, grid.dimension):
+        out += _along_axis(d1, vec[a], a)
+    return out
 
 
 def spectral_hessian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
     """Hessian D^2 field, shape (d, d) + grid.shape.
 
     Diagonal entries use the full -(2 pi k)^2 symbol; mixed entries compose
-    two first derivatives (Nyquist zeroed on each axis).
+    two first derivatives (Nyquist zeroed on each axis), D1 f D1^T.
     """
     _check_spatial(grid, field)
-    fhat = np.fft.fftn(field)
+    ops = _spectral_operators(grid.n_x)
     d = grid.dimension
     out = np.empty((d, d) + grid.shape)
-    k = TWO_PI * grid.wavenumbers_int()
     for a in range(d):
-        shape = [1] * d
-        shape[a] = grid.n_x
-        out[a, a] = np.fft.ifftn(fhat * (-(k**2)).reshape(shape)).real
+        out[a, a] = _along_axis(ops.d2, field, a)
     if d == 2:
-        mixed = np.fft.ifftn(fhat * _ik_factor(grid, 0) * _ik_factor(grid, 1)).real
+        mixed = _along_axis(ops.d1, _along_axis(ops.d1, field, 0), 1)
         out[0, 1] = mixed
         out[1, 0] = mixed
     return out
@@ -371,7 +419,11 @@ def spectral_hessian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
 
 def spectral_laplacian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
     _check_spatial(grid, field)
-    return np.fft.ifftn(np.fft.fftn(field) * (-_k2_factor(grid))).real
+    d2 = _spectral_operators(grid.n_x).d2
+    out = _along_axis(d2, field, 0)
+    for a in range(1, grid.dimension):
+        out += _along_axis(d2, field, a)
+    return out
 
 
 def inverse_laplacian_zero_mean(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
@@ -379,19 +431,19 @@ def inverse_laplacian_zero_mean(grid: TorusGrid, field: np.ndarray) -> np.ndarra
 
     Rejects input whose mean exceeds 1e-10 in magnitude (no solution exists
     on the torus); callers must remove the mean themselves if they consider
-    it a discretization artifact.
+    it a discretization artifact.  In 1-d one cached matrix; in 2-d
+    Q ((Q^T f Q) * S) Q^T with S = -1/|2 pi k|^2 (0 at k = 0).
     """
     _check_spatial(grid, field)
     mean = float(field.mean())
     if abs(mean) > 1e-10:
         raise ValueError(f"inverse Laplacian needs zero-mean input, got mean {mean:g}")
-    fhat = np.fft.fftn(field)
-    k2 = _k2_factor(grid).copy()
-    flat_zero = (0,) * grid.dimension
-    k2[flat_zero] = 1.0
-    phihat = fhat / (-k2)
-    phihat[flat_zero] = 0.0
-    return np.fft.ifftn(phihat).real
+    ops = _spectral_operators(grid.n_x)
+    if grid.dimension == 1:
+        return _along_axis(ops.inverse_laplacian, field, 0)
+    q = ops.basis
+    coeff = q.T @ (field - field[0, 0]) @ q
+    return q @ (coeff * ops.inverse_symbol) @ q.T
 
 
 def grid_integral(grid: TorusGrid, field: np.ndarray) -> float:

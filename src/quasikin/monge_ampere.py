@@ -80,11 +80,13 @@ class EllipticityLostError(RuntimeError):
 
 @dataclass(eq=False)
 class Potential:
-    """Zero-mean potential with cached spectral derivatives.
+    """Zero-mean potential with its spectral derivatives.
 
     ``grad`` has shape (d,) + grid.shape and ``hess`` (d, d) + grid.shape;
     both are the spectral derivatives of ``phi`` (recomputing them must
-    reproduce the cached arrays bit for bit).
+    reproduce the stored arrays bit for bit).  Each is a few small matrix
+    products with the cached operators of grids.py, so both are formed
+    when the potential is made.
     """
 
     grid: TorusGrid

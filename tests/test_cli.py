@@ -414,3 +414,38 @@ def test_import_does_not_load_scipy_linalg():
         timeout=60, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+POOL_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _pools_after_import(**env_overrides) -> dict:
+    """The pool variables a fresh interpreter holds once quasikin.cli is loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in POOL_VARIABLES + ("QUASIKIN_THREADS",)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_overrides)
+    probe = (
+        "import json, os, quasikin.cli; "
+        f"print(json.dumps({{v: os.environ.get(v) for v in {POOL_VARIABLES!r}}}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def test_thread_pools_default_to_the_usable_cpus():
+    usable = str(len(os.sched_getaffinity(0)))
+    assert _pools_after_import() == dict.fromkeys(POOL_VARIABLES, usable)
+
+
+def test_explicit_thread_settings_win():
+    pools = _pools_after_import(QUASIKIN_THREADS="1")
+    assert pools == dict.fromkeys(POOL_VARIABLES, "1")
+    pools = _pools_after_import(QUASIKIN_THREADS="1", OPENBLAS_NUM_THREADS="3")
+    assert pools == {**dict.fromkeys(POOL_VARIABLES, "1"), "OPENBLAS_NUM_THREADS": "3"}
+    pools = _pools_after_import(OPENBLAS_NUM_THREADS="1")
+    usable = str(len(os.sched_getaffinity(0)))
+    assert pools == {**dict.fromkeys(POOL_VARIABLES, usable), "OPENBLAS_NUM_THREADS": "1"}

@@ -428,6 +428,25 @@ class TestDiagnosticsRecord:
         with pytest.raises(ValueError, match=rf"non-finite {field} = .* at t = 0\.25"):
             self.make_record(**overrides)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mass", np.float64(np.nan)),
+            ("field_residual", np.float64(-np.inf)),
+            ("momentum", (np.float64(0.1), np.float64(np.nan))),
+            ("momentum", (np.inf,)),
+        ],
+    )
+    def test_numpy_scalars_and_momentum_components_checked(self, field, value):
+        with pytest.raises(ValueError, match=rf"non-finite {field} = .* at t = 0\.25"):
+            self.make_record(**{field: value})
+
+    def test_finite_numpy_scalars_accepted(self):
+        record = self.make_record(
+            mass=np.float64(1.0), momentum=(np.float64(0.125), 0.0), newton_iters=3
+        )
+        assert record.momentum[1] == 0.0
+
     def test_nan_energies_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             self.make_record(mass=np.nan, e_kinetic=np.nan, e_total=np.nan)

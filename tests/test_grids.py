@@ -10,8 +10,7 @@ from quasikin.grids import (
     PhaseField,
     TorusGrid,
     VelocityGrid,
-    _ik_factor,
-    _k2_factor,
+    _spectral_operators,
     grid_integral,
     inverse_laplacian_zero_mean,
     l2_norm,
@@ -19,6 +18,7 @@ from quasikin.grids import (
     moments,
     random_bandlimited_field,
     read_snapshot,
+    real_fourier_basis,
     spectral_divergence,
     spectral_gradient,
     spectral_hessian,
@@ -47,19 +47,39 @@ class TestTorusGrid:
     def test_cell_volume(self):
         assert TorusGrid(2, 16).cell_volume == pytest.approx(1.0 / 256)
 
-    def test_spectral_symbols_are_cached_read_only(self):
+    def test_spectral_operators_are_cached_read_only(self):
+        # One set of operators per n_x, shared by equal grids of either
+        # dimension, and none of them writable.
         for d in (1, 2):
             grid = TorusGrid(d, 8)
-            symbols = (
+            pairs = (
                 (grid.wavenumbers_int(), TorusGrid(d, 8).wavenumbers_int()),
-                (_ik_factor(grid, d - 1), _ik_factor(TorusGrid(d, 8), d - 1)),
-                (_k2_factor(grid), _k2_factor(TorusGrid(d, 8))),
+                (real_fourier_basis(grid.n_x), real_fourier_basis(TorusGrid(d, 8).n_x)),
+                (_spectral_operators(grid.n_x), _spectral_operators(TorusGrid(d, 8).n_x)),
             )
-            for first, again in symbols:
+            for first, again in pairs:
                 assert again is first
-                with pytest.raises(ValueError, match="read-only"):
-                    first[0] = 1.0
+        arrays = (TorusGrid(1, 8).wavenumbers_int(),) + real_fourier_basis(8)
+        arrays += tuple(_spectral_operators(8))
+        for array in arrays:
+            assert array.shape[0] == 8
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
         assert TorusGrid(1, 8).wavenumbers_int().tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
+
+    @pytest.mark.parametrize("n_x", [4, 8, 24, 64])
+    def test_real_fourier_basis_is_orthonormal(self, n_x):
+        q, modes = real_fourier_basis(n_x)
+        np.testing.assert_allclose(q.T @ q, np.eye(n_x), atol=1e-14)
+        assert sorted(modes.tolist()) == sorted(abs(k) for k in TorusGrid(1, n_x).wavenumbers_int())
+        # Each column is a real trigonometric mode of its wavenumber.
+        for column, k in zip(q.T, modes):
+            np.testing.assert_allclose(
+                spectral_laplacian(TorusGrid(1, n_x), column),
+                -((2 * np.pi * k) ** 2) * column,
+                atol=1e-9 * max(1, k) ** 2,
+            )
+        assert np.all(np.abs(q[:, -1]) * np.sqrt(n_x) == 1.0)
 
 
 class TestVelocityGrid:

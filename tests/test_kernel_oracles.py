@@ -5,8 +5,10 @@ banded solver and to gather its stencil with take_along_axis; the x-stream
 rebuilt its spline transfer on every call and transformed with complex
 FFTs.  The velocity moments were numpy sums of f times each feature over
 the velocity axes, and the BGK match ran its Newton iteration on the full
-(nodes, velocity grid) Gaussian.  Those implementations are kept below
-unchanged as oracles.  The rewritten kernels change only the order of
+(nodes, velocity grid) Gaussian.  The spectral calculus on the torus (the
+derivatives, the inverse Laplacian, the Euler band limit and Leray
+projection, the H^-1 norm of rho - 1) was FFT round trips.  Those
+implementations are kept below unchanged as oracles.  The rewritten kernels change only the order of
 floating-point operations, so they must agree to 1e-13 of the largest
 value (about 450 ulps), report the same clipped mass to the same relative
 accuracy, still reproduce a state bitwise under a zero shift, and fail on
@@ -14,6 +16,7 @@ the same nodes with the same messages.
 """
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -22,12 +25,23 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_banded
 
 from quasikin.collision import CollisionMomentError, _features, match_discrete_maxwellian
+from quasikin.diagnostics import quasineutrality_norm
+from quasikin.euler import _check_velocity, band_limit, leray_project
 from quasikin.grids import (
+    TWO_PI,
+    GridMismatchError,
     PhaseField,
     TorusGrid,
     VelocityGrid,
+    _check_spatial,
     _feature_matrix,
+    _read_only,
+    inverse_laplacian_zero_mean,
     moments,
+    spectral_divergence,
+    spectral_gradient,
+    spectral_hessian,
+    spectral_laplacian,
     stress_moments,
 )
 from quasikin import vlasov
@@ -234,6 +248,142 @@ def oracle_match_discrete_maxwellian(
         f"moment matching stalled at node {worst}; "
         f"relative residual {float(np.abs(resid / scale).max()):g}"
     )
+
+
+@lru_cache(maxsize=32)
+def _ik_factor(grid: TorusGrid, axis: int) -> np.ndarray:
+    """i * 2 pi k along ``axis`` with the Nyquist mode zeroed, broadcastable.
+
+    Cached per (dimension, n_x, axis) and read-only.
+    """
+    k = grid.wavenumbers_int()
+    ik = 1j * TWO_PI * k
+    ik[grid.n_x // 2] = 0.0  # Nyquist has no well-defined sign for odd derivatives
+    shape = [1] * grid.dimension
+    shape[axis] = grid.n_x
+    return _read_only(ik.reshape(shape))
+
+
+@lru_cache(maxsize=32)
+def _k2_factor(grid: TorusGrid) -> np.ndarray:
+    """|2 pi k|^2 on the full FFT mesh (Nyquist included).
+
+    Cached per (dimension, n_x) and read-only.
+    """
+    k = TWO_PI * grid.wavenumbers_int()
+    if grid.dimension == 1:
+        return _read_only(k**2)
+    return _read_only((k**2)[:, None] + (k**2)[None, :])
+
+
+def oracle_spectral_gradient(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
+    """Gradient of a periodic field, shape (d,) + grid.shape."""
+    _check_spatial(grid, field)
+    fhat = np.fft.fftn(field)
+    out = np.empty((grid.dimension,) + grid.shape)
+    for a in range(grid.dimension):
+        out[a] = np.fft.ifftn(fhat * _ik_factor(grid, a)).real
+    return out
+
+
+def oracle_spectral_divergence(grid: TorusGrid, vec: np.ndarray) -> np.ndarray:
+    """Divergence of a vector field with shape (d,) + grid.shape."""
+    if vec.shape != (grid.dimension,) + grid.shape:
+        raise GridMismatchError(
+            f"vector shape {vec.shape} != {(grid.dimension,) + grid.shape}"
+        )
+    out = np.zeros(grid.shape, dtype=complex)
+    for a in range(grid.dimension):
+        out += np.fft.fftn(vec[a]) * _ik_factor(grid, a)
+    return np.fft.ifftn(out).real
+
+
+def oracle_spectral_hessian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
+    """Hessian D^2 field, shape (d, d) + grid.shape.
+
+    Diagonal entries use the full -(2 pi k)^2 symbol; mixed entries compose
+    two first derivatives (Nyquist zeroed on each axis).
+    """
+    _check_spatial(grid, field)
+    fhat = np.fft.fftn(field)
+    d = grid.dimension
+    out = np.empty((d, d) + grid.shape)
+    k = TWO_PI * grid.wavenumbers_int()
+    for a in range(d):
+        shape = [1] * d
+        shape[a] = grid.n_x
+        out[a, a] = np.fft.ifftn(fhat * (-(k**2)).reshape(shape)).real
+    if d == 2:
+        mixed = np.fft.ifftn(fhat * _ik_factor(grid, 0) * _ik_factor(grid, 1)).real
+        out[0, 1] = mixed
+        out[1, 0] = mixed
+    return out
+
+
+def oracle_spectral_laplacian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
+    _check_spatial(grid, field)
+    return np.fft.ifftn(np.fft.fftn(field) * (-_k2_factor(grid))).real
+
+
+def oracle_inverse_laplacian_zero_mean(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
+    """Solve Laplace(phi) = field with zero-mean phi.
+
+    Rejects input whose mean exceeds 1e-10 in magnitude (no solution exists
+    on the torus); callers must remove the mean themselves if they consider
+    it a discretization artifact.
+    """
+    _check_spatial(grid, field)
+    mean = float(field.mean())
+    if abs(mean) > 1e-10:
+        raise ValueError(f"inverse Laplacian needs zero-mean input, got mean {mean:g}")
+    fhat = np.fft.fftn(field)
+    k2 = _k2_factor(grid).copy()
+    flat_zero = (0,) * grid.dimension
+    k2[flat_zero] = 1.0
+    phihat = fhat / (-k2)
+    phihat[flat_zero] = 0.0
+    return np.fft.ifftn(phihat).real
+
+
+def oracle_band_limit(grid: TorusGrid, field_values: np.ndarray) -> np.ndarray:
+    """Zero all Fourier modes with any |k| > (n-1)//3 (strict 2/3 rule)."""
+    k_max = (grid.n_x - 1) // 3
+    k = grid.wavenumbers_int()
+    keep = np.abs(k) <= k_max
+    if grid.dimension == 1:
+        mask = keep
+    else:
+        mask = keep[:, None] & keep[None, :]
+    return np.fft.ifftn(np.fft.fftn(field_values) * mask).real
+
+
+def oracle_leray_project(grid: TorusGrid, v: np.ndarray) -> np.ndarray:
+    """Remove the gradient part: P(v) = v - grad(invlap(div v)).
+
+    Idempotent and self-adjoint in the discrete L2 inner product; preserves
+    the mean of each component (the k = 0 mode is untouched).
+    """
+    v = _check_velocity(grid, v)
+    div = oracle_spectral_divergence(grid, v)
+    potential = oracle_inverse_laplacian_zero_mean(grid, div)
+    return v - oracle_spectral_gradient(grid, potential)
+
+
+def oracle_quasineutrality_norm(grid: TorusGrid, rho: np.ndarray) -> float:
+    """Spectral H^{-1} norm of rho - 1 (k = 0 mode excluded)."""
+    if rho.shape != grid.shape:
+        raise GridMismatchError(f"density shape {rho.shape} != {grid.shape}")
+    coeff = np.fft.fftn(rho - 1.0) / rho.size
+    k = 2.0 * np.pi * grid.wavenumbers_int()
+    if grid.dimension == 1:
+        k_sq = k**2
+    else:
+        k_sq = k[:, None] ** 2 + k[None, :] ** 2
+    power = np.abs(coeff) ** 2
+    flat_k = k_sq.ravel()
+    flat_p = power.ravel()
+    nonzero = flat_k > 0.0
+    return float(np.sqrt((flat_p[nonzero] / flat_k[nonzero]).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +636,87 @@ class TestStreamMatchesOracle:
 def _close(new: np.ndarray, old: np.ndarray) -> None:
     assert new.shape == old.shape
     assert np.abs(new - old).max() <= RTOL * np.abs(old).max()
+
+
+@st.composite
+def torus_fields(draw):
+    """A random field on a torus grid, with a pure Nyquist mode added.
+
+    Roughness comes from white noise over every mode, and the Nyquist mode
+    (along one axis or both in 2-d) is where the odd derivatives differ
+    from the even ones; a constant offset checks that nothing leaks from
+    k = 0.
+    """
+    dimension = draw(st.sampled_from([1, 2]))
+    grid = TorusGrid(dimension, draw(st.sampled_from([8, 16, 24, 32, 64])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = np.indices(grid.shape)
+    axes = draw(st.sampled_from([(0,), (1,), (0, 1)])) if dimension == 2 else (0,)
+    nyquist = (-1.0) ** sum(coords[a] for a in axes)
+    field = (
+        rng.standard_normal(grid.shape)
+        + draw(st.floats(-4.0, 4.0)) * nyquist
+        + draw(st.sampled_from([0.0, 1.0, -3.7]))
+    )
+    return grid, field, rng
+
+
+class TestSpectralCalculusMatchesOracle:
+    """The cached real operators against the FFT round trips they replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=torus_fields())
+    def test_derivatives(self, case):
+        grid, field, rng = case
+        _close(spectral_gradient(grid, field), oracle_spectral_gradient(grid, field))
+        _close(spectral_hessian(grid, field), oracle_spectral_hessian(grid, field))
+        _close(spectral_laplacian(grid, field), oracle_spectral_laplacian(grid, field))
+        vec = np.stack([field] + [rng.standard_normal(grid.shape)] * (grid.dimension - 1))
+        _close(spectral_divergence(grid, vec), oracle_spectral_divergence(grid, vec))
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=torus_fields())
+    def test_inverse_laplacian(self, case):
+        grid, field, _ = case
+        zero_mean = field - field.mean()
+        _close(
+            inverse_laplacian_zero_mean(grid, zero_mean),
+            oracle_inverse_laplacian_zero_mean(grid, zero_mean),
+        )
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=torus_fields())
+    def test_euler_projections(self, case):
+        grid, field, rng = case
+        _close(band_limit(grid, field), oracle_band_limit(grid, field))
+        v = np.stack([field] + [rng.standard_normal(grid.shape)] * (grid.dimension - 1))
+        # P v = v - (gradient part of v) cancels: in 1-d only the mean and
+        # the Nyquist mode survive, so both kernels' error scales with v.
+        new, old = leray_project(grid, v), oracle_leray_project(grid, v)
+        assert np.abs(new - old).max() <= RTOL * max(np.abs(old).max(), np.abs(v).max())
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=torus_fields(), scale=st.floats(1e-6, 1.0))
+    def test_quasineutrality_norm(self, case, scale):
+        grid, field, _ = case
+        rho = 1.0 + scale * (field - field.mean())
+        old = oracle_quasineutrality_norm(grid, rho)
+        assert abs(quasineutrality_norm(grid, rho) - old) <= RTOL * old
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_constants_map_to_exact_zero(self, dimension):
+        # A plain product would leave each operator's row-sum residue.
+        grid = TorusGrid(dimension, 64 if dimension == 1 else 32)
+        for value in (1.0, -0.37, 2.0**40 / 3.0):
+            const = np.full(grid.shape, value)
+            assert not spectral_gradient(grid, const).any()
+            assert not spectral_hessian(grid, const).any()
+            assert not spectral_laplacian(grid, const).any()
+            vec = np.stack([const] * dimension)
+            assert not spectral_divergence(grid, vec).any()
+            assert (band_limit(grid, const) == value).all()
+        small = np.full(grid.shape, 3e-11)  # within the zero-mean tolerance
+        assert not inverse_laplacian_zero_mean(grid, small).any()
 
 
 @st.composite
