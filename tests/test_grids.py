@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasikin.euler import _band_limit_operator
 from quasikin.grids import (
     GridMismatchError,
     MacroFields,
@@ -47,9 +48,9 @@ class TestTorusGrid:
     def test_cell_volume(self):
         assert TorusGrid(2, 16).cell_volume == pytest.approx(1.0 / 256)
 
-    def test_spectral_operators_are_cached_read_only(self):
+    def test_spectral_symbols_are_cached_read_only(self):
         # One set of operators per n_x, shared by equal grids of either
-        # dimension, and none of them writable.
+        # dimension (the Euler band limit's too), and none of them writable.
         for d in (1, 2):
             grid = TorusGrid(d, 8)
             pairs = (
@@ -59,8 +60,9 @@ class TestTorusGrid:
             )
             for first, again in pairs:
                 assert again is first
+        assert _band_limit_operator(8) is _band_limit_operator(8)
         arrays = (TorusGrid(1, 8).wavenumbers_int(),) + real_fourier_basis(8)
-        arrays += tuple(_spectral_operators(8))
+        arrays += tuple(_spectral_operators(8)) + (_band_limit_operator(8),)
         for array in arrays:
             assert array.shape[0] == 8
             with pytest.raises(ValueError, match="read-only"):
@@ -72,13 +74,6 @@ class TestTorusGrid:
         q, modes = real_fourier_basis(n_x)
         np.testing.assert_allclose(q.T @ q, np.eye(n_x), atol=1e-14)
         assert sorted(modes.tolist()) == sorted(abs(k) for k in TorusGrid(1, n_x).wavenumbers_int())
-        # Each column is a real trigonometric mode of its wavenumber.
-        for column, k in zip(q.T, modes):
-            np.testing.assert_allclose(
-                spectral_laplacian(TorusGrid(1, n_x), column),
-                -((2 * np.pi * k) ** 2) * column,
-                atol=1e-9 * max(1, k) ** 2,
-            )
         assert np.all(np.abs(q[:, -1]) * np.sqrt(n_x) == 1.0)
 
 
