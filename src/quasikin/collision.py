@@ -5,8 +5,8 @@ Both operators preserve the discrete collision invariants (mass, momentum,
 kinetic energy) by construction rather than by accident of resolution:
 
 * ``bgk_collide`` relaxes toward a *discrete* Maxwellian whose grid moments
-  match those of f exactly (a per-node Newton solve on the parameters
-  ``(log amplitude, u, theta)``), then applies the exponential update
+  match those of f exactly (a per-node Newton solve on its natural
+  parameters), then applies the exponential update
   ``f <- exp(-dt/tau) f + (1 - exp(-dt/tau)) M``, which is unconditionally
   positivity-preserving.  Because the matched Maxwellian is the Gibbs
   minimizer of ``sum f log f`` under the moment constraints, the update also
@@ -116,39 +116,12 @@ def _features(v_grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
     return nodes, feats
 
 
-def _axis_factors(nodes, log_a, u, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Centred nodes x = xi_a - u_a and the factors of the Gaussian.
-
-    exp(log_a - |x|^2 / 2 theta) = prod_a g_a with
-    g_a = exp(log_a / d - x_a^2 / 2 theta); both arrays are (m, d, n_v).
-    Each factor keeps a share of the amplitude in its exponent, so a
-    factor underflows only where the Gaussian itself does.
-    """
-    d = u.shape[1]
-    x = nodes[None, None, :] - u[:, :, None]
-    g = x**2
-    g /= 2.0 * theta[:, None, None]
-    np.subtract((log_a / d)[:, None, None], g, out=g)
-    return x, np.exp(g, out=g)
-
-
-def _basis_gram(x: np.ndarray, g: np.ndarray, weight: float) -> np.ndarray:
-    """sum_k B_i B_j M h_v^d for B = (1, x_1..x_d, |x|^2), shape (m, d+2, d+2).
-
-    M = prod_a g_a is a product over axes, so the moment of a monomial
-    prod_a x_a^p_a is h_v^d prod_a sum_k g_a x_a^p_a, and every entry comes
-    from the per-axis power sums (p <= 4).
-    """
-    m, d, _ = g.shape
-    sums = np.empty((m, d, 5))
-    term = g.copy()
-    for p in range(5):
-        sums[..., p] = term.sum(axis=-1)
-        term *= x
-    table = weight * sums[:, 0]  # (m, 5): monomial moments in x_1
-    if d == 2:
-        table = table[:, :, None] * sums[:, 1, None, :]  # (m, 5, 5)
-    return (table.reshape(m, -1) @ _gram_map(d)).reshape(m, d + 2, d + 2)
+@lru_cache(maxsize=16)
+def _axis_powers(v_grid: VelocityGrid) -> np.ndarray:
+    """Powers xi^p (p = 0..4) of the axis nodes, shape (5, n_v), read-only."""
+    powers = v_grid.axis_nodes()[None, :] ** np.arange(5)[:, None]
+    powers.flags.writeable = False
+    return powers
 
 
 @lru_cache(maxsize=2)
@@ -156,7 +129,8 @@ def _gram_map(d: int) -> np.ndarray:
     """Counts C with gram = monomial moments @ C, shape (5^d, (d+2)^2).
 
     Entry (i, j) of the Gram matrix is the sum of the moments of the
-    monomials in B_i B_j; each basis function is a list of exponents.
+    monomials in phi_i phi_j for the invariants phi = (1, xi, |xi|^2); each
+    invariant is a list of exponents.
     """
     unit = np.eye(d, dtype=int)
     basis = [[np.zeros(d, dtype=int)]] + [[e] for e in unit] + [list(2 * unit)]
@@ -188,9 +162,10 @@ def match_discrete_maxwellian(
     Raises CollisionMomentError (with the worst node index) for
     non-realizable moments or a stalled parameter solve.
 
-    The Gaussian exp(log_a - |xi - u|^2 / 2 theta) is a product of per-axis
-    factors, so each Newton iteration needs only per-axis power sums; the
-    phase-space Maxwellian is formed once, at convergence.
+    Newton runs on the natural parameters eta of M = exp(eta_0 + eta . xi +
+    eta_{d+1} |xi|^2), the Lagrange multipliers of the moment constraints; the
+    Jacobian is the Gram matrix of (1, xi, |xi|^2) under M, from per-axis power
+    sums.  The phase-space Maxwellian is formed once, at convergence.
     """
     d = v_grid.dimension
     rho = np.asarray(rho, dtype=float)
@@ -217,29 +192,32 @@ def match_discrete_maxwellian(
             f"non-realizable moments at node {bad}: inferred temperature <= 0"
         )
 
-    nodes = v_grid.axis_nodes()
+    powers = _axis_powers(v_grid)
     targets = np.concatenate([r[:, None], j, e2[:, None]], axis=1)  # (m', d+2)
     scale = np.maximum(np.abs(targets), r[:, None] * np.maximum(1.0, theta)[:, None])
 
-    log_a = np.log(r) - 0.5 * d * np.log(2.0 * np.pi * theta)
+    # eta is held in the variable x = xi - u with u = J / rho fixed, starting
+    # at the continuous Maxwellian; in xi the terms of the exponent would
+    # grow like |u|^2 / theta and cancel near the peak.
+    x = powers[1] - u[:, :, None]  # (m', d, n_v)
+    eta = np.zeros_like(targets)
+    eta[:, 0] = np.log(r) - 0.5 * d * np.log(2.0 * np.pi * theta)
+    eta[:, -1] = -0.5 / theta
 
     for _ in range(max_iter):
-        x, g = _axis_factors(nodes, log_a, u, theta)
-        gram = _basis_gram(x, g, v_grid.weight)
-        # The invariants (1, xi, |xi|^2) in the basis B, with xi = x + u.
-        jac = np.empty_like(gram)
-        jac[:, 0] = gram[:, 0]
-        jac[:, 1 : 1 + d] = u[:, :, None] * gram[:, None, 0] + gram[:, 1 : 1 + d]
-        jac[:, -1] = (
-            (u**2).sum(axis=1)[:, None] * gram[:, 0]
-            + 2.0 * np.einsum("mb,mbj->mj", u, gram[:, 1 : 1 + d])
-            + gram[:, -1]
-        )
-        # Jacobian of the moment map wrt (log_a, u, theta): the derivatives
-        # of log M are (1, x / theta, |x|^2 / (2 theta^2)) in the basis B.
-        jac[:, :, 1 : 1 + d] /= theta[:, None, None]
-        jac[:, :, -1] /= 2.0 * theta[:, None] ** 2
-        resid = jac[:, :, 0] - targets
+        # g_a = exp(eta_0 / d + eta_a x_a + eta_{d+1} x_a^2) peaks near
+        # exp(log amplitude / d): it underflows only where the Gaussian does.
+        g = eta[:, -1, None, None] * x
+        g += eta[:, 1 : 1 + d, None]
+        g *= x
+        g += eta[:, :1, None] / d
+        g = np.exp(g, out=g)  # (m', d, n_v)
+        sums = (g.reshape(-1, v_grid.n_v) @ powers.T).reshape(len(r), d, 5)
+        table = v_grid.weight * sums[:, 0]  # (m', 5): monomial moments in xi_1
+        if d == 2:
+            table = table[:, :, None] * sums[:, 1, None, :]  # (m', 5, 5)
+        gram = (table.reshape(len(r), -1) @ _gram_map(d)).reshape(len(r), d + 2, d + 2)
+        resid = gram[:, :, 0] - targets
         if float(np.abs(resid / scale).max()) <= rtol:
             # Zero factors at the rho = 0 nodes give their zero function.
             factors = np.zeros((m, d, v_grid.n_v))
@@ -248,17 +226,20 @@ def match_discrete_maxwellian(
                 return factors[:, 0]
             return factors[:, 0, :, None] * factors[:, 1, None, :]
         try:
-            step = np.linalg.solve(jac, -resid[..., None])[..., 0]
+            step = np.linalg.solve(gram, -resid[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise CollisionMomentError(f"singular moment Jacobian: {exc}") from exc
-        # keep theta positive: per-node damping
-        d_theta = step[:, -1]
+        # keep eta_{d+1} < 0 (theta > 0): per-node damping
+        d_eta2 = step[:, -1]
         lam = np.ones(len(r))
-        shrink = d_theta < -0.5 * theta
-        lam[shrink] = 0.5 * theta[shrink] / (-d_theta[shrink])
-        log_a += lam * step[:, 0]
-        u += lam[:, None] * step[:, 1 : 1 + d]
-        theta += lam * d_theta
+        shrink = d_eta2 > -0.5 * eta[:, -1]
+        lam[shrink] = -0.5 * eta[shrink, -1] / d_eta2[shrink]
+        step *= lam[:, None]
+        # The step is in the multipliers of (1, xi, |xi|^2); in x = xi - u
+        # it reads (s_0 + s . u + s_{d+1} |u|^2, s + 2 s_{d+1} u, s_{d+1}).
+        step[:, 0] += np.einsum("ma,ma->m", step[:, 1 : 1 + d] + step[:, -1:] * u, u)
+        step[:, 1 : 1 + d] += 2.0 * step[:, -1:] * u
+        eta += step
     worst = idx[int(np.argmax(np.abs(resid / scale).max(axis=1)))]
     raise CollisionMomentError(
         f"moment matching stalled at node {worst}; "

@@ -91,9 +91,12 @@ def leray_project(grid: TorusGrid, v: np.ndarray) -> np.ndarray:
     """Remove the gradient part: P(v) = v - grad(invlap(div v)).
 
     Idempotent and self-adjoint in the discrete L2 inner product; preserves
-    the mean of each component (the k = 0 mode is untouched).
+    the mean of each component (the k = 0 mode is untouched).  In 1-d, where
+    the divergence cannot see the Nyquist mode, P(v) is the mean of v.
     """
     v = _check_velocity(grid, v)
+    if grid.dimension == 1:
+        return np.full_like(v, v.mean())
     div = spectral_divergence(grid, v)
     potential = inverse_laplacian_zero_mean(grid, div)
     return v - spectral_gradient(grid, potential)

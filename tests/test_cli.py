@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from quasikin.cli import main
+from quasikin.cli import _installed_version, main
 from quasikin.config import ConfigError, Schedule, load_config
 from quasikin.grids import TorusGrid
 from quasikin.diagnostics import DiagnosticsRecord
@@ -206,6 +207,7 @@ class TestSimulateVerb:
         assert manifest["scenario"] == "tiny"
         assert manifest["rows"] == 6
         assert len(manifest["config_sha256"]) == 64
+        assert manifest["scipy_version"] == scipy.__version__
         snaps = sorted(p.name for p in (out / "snapshots").glob("*.bin"))
         assert snaps == ["step_000000.bin", "step_000002.bin",
                          "step_000004.bin", "step_000005.bin"]
@@ -402,18 +404,34 @@ class TestCheckVerb:
         assert all(c["passed"] for c in payload["checks"])
 
 
-def test_import_does_not_load_scipy_linalg():
-    # scipy.linalg costs ~0.2 s and ~20 MiB per process; nothing on the
-    # run path needs it.
+def _loaded_after_cli_import(module: str) -> bool:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, quasikin.cli; print('scipy.linalg' in sys.modules)"
+    probe = f"import sys, quasikin.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy_linalg():
+    # scipy.linalg costs ~0.2 s and ~20 MiB per process; nothing on the
+    # run path needs it.
+    assert not _loaded_after_cli_import("scipy.linalg")
+
+
+def test_import_does_not_load_scipy():
+    # Only the tests use scipy; the manifest reads its version from the
+    # installed distribution's metadata directory.
+    assert not _loaded_after_cli_import("scipy")
+
+
+def test_installed_version():
+    assert _installed_version("scipy") == scipy.__version__
+    assert _installed_version("numpy") == np.__version__
+    assert _installed_version("no_such_distribution") is None
 
 
 POOL_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")

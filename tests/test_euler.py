@@ -91,6 +91,14 @@ class TestLerayProjection:
         assert pv[1].mean() == pytest.approx(-0.7, abs=1e-14)
 
 
+    def test_one_dimensional_projection_is_the_mean(self):
+        grid = TorusGrid(1, 16)
+        nyquist = (-1.0) ** np.arange(16)
+        assert not leray_project(grid, 2.5 * nyquist[None, :]).any()
+        v = np.random.default_rng(5).standard_normal((1, 16))
+        assert np.abs(leray_project(grid, v) - v.mean()).max() <= 1e-15
+
+
 class TestEulerState:
     def test_rejects_compressible_velocity(self):
         grid = TorusGrid(2, 16)

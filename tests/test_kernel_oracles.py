@@ -12,7 +12,11 @@ implementations are kept below unchanged as oracles.  The rewritten kernels chan
 floating-point operations, so they must agree to 1e-13 of the largest
 value (about 450 ulps), report the same clipped mass to the same relative
 accuracy, still reproduce a state bitwise under a zero shift, and fail on
-the same nodes with the same messages.
+the same nodes with the same messages.  The BGK match is the exception: it
+now runs Newton on the natural parameters, so its path differs from the
+oracle's.  It must agree wherever the oracle converges, never return values
+without the target moments, and give the same messages on fixed failure
+cases.
 """
 
 import tracemalloc
@@ -690,9 +694,15 @@ class TestSpectralCalculusMatchesOracle:
         grid, field, rng = case
         _close(band_limit(grid, field), oracle_band_limit(grid, field))
         v = np.stack([field] + [rng.standard_normal(grid.shape)] * (grid.dimension - 1))
-        # P v = v - (gradient part of v) cancels: in 1-d only the mean and
-        # the Nyquist mode survive, so both kernels' error scales with v.
-        new, old = leray_project(grid, v), oracle_leray_project(grid, v)
+        new = leray_project(grid, v)
+        if grid.dimension == 1:
+            # The oracle keeps v's Nyquist mode, which D1 cannot see; the
+            # 1-d projection onto the divergence-free (constant) fields is
+            # the mean.
+            assert np.abs(new - v.mean()).max() <= RTOL * np.abs(v).max()
+            return
+        # P v = v - (gradient part of v) cancels, so the error scales with v.
+        old = oracle_leray_project(grid, v)
         assert np.abs(new - old).max() <= RTOL * max(np.abs(old).max(), np.abs(v).max())
 
     @settings(max_examples=120, deadline=None)
@@ -781,6 +791,33 @@ def maxwellian_targets(draw):
     return PhaseField(x_grid, v_grid, values, 0.0)
 
 
+@st.composite
+def fast_cold_targets(draw):
+    """Like maxwellian_targets, with drifts up to 3.5 and temperatures down
+    to 0.05 on v_max = 5.
+
+    The velocity grid resolves the coldest envelope (h_v < sqrt(0.05)).  The
+    drift is capped at |u|^2 <= 60 theta: a moment residual r, however small,
+    moves M by about r |u|^2 / theta of its maximum, and at |u| = 3.5,
+    theta = 0.05 (|u|^2 / theta = 245) two solves with residuals at the
+    rounding floor already differ by up to 2.6e-13.
+    """
+    dimension = draw(st.sampled_from([1, 2]))
+    x_grid = TorusGrid(dimension, 4 if dimension == 2 else draw(st.sampled_from([4, 16])))
+    v_grid = VelocityGrid(dimension, 64 if dimension == 2 else 128, 5.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = x_grid.shape + v_grid.shape
+    values = rng.random(shape) * (rng.random(shape) < rng.uniform(0.5, 1.0))
+    theta = draw(st.floats(0.05, 0.3))
+    speed = draw(st.floats(0.0, min(3.5, np.sqrt(60.0 * theta))))
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    drift = speed * np.array([np.cos(angle), np.sin(angle)][:dimension])
+    envelope = sum((m - c) ** 2 for m, c in zip(v_grid.node_mesh(), drift))
+    values *= np.exp(-envelope / (2.0 * theta))
+    values[draw(hnp.arrays(np.bool_, x_grid.shape))] = 0.0
+    return PhaseField(x_grid, v_grid, values, 0.0)
+
+
 def _failure(call):
     """The CollisionMomentError message a call raises, or None."""
     try:
@@ -790,33 +827,55 @@ def _failure(call):
     return None
 
 
+# Both solves run to 2e-15, just above the rounding floor of the relative
+# moment residual (below 1e-15 on these states).  At the default 1e-13 two
+# correct solves may stop at different residuals, and on cold flows that
+# moves M by more than RTOL (1.9e-13 seen in 2-d at |u| = 0.9, theta = 0.15).
+SOLVE_RTOL = 2e-15
+
+
+def _check_against_oracle(f: PhaseField) -> None:
+    targets = _targets(f)
+    failed = _failure(
+        lambda: oracle_match_discrete_maxwellian(f.v_grid, *targets, rtol=SOLVE_RTOL)
+    )
+    again = _failure(lambda: match_discrete_maxwellian(f.v_grid, *targets, rtol=SOLVE_RTOL))
+    if failed is None:
+        assert again is None, again
+    elif again is not None:
+        # Both refuse the state.  Their Newton paths differ, so the message
+        # may too; test_same_failures_on_the_same_nodes pins the messages.
+        return
+    # If only the oracle failed, its path left the state (seen: a singular
+    # Jacobian once its Gaussian collapsed onto too few grid nodes); the
+    # moment checks below show the natural parameters matched it.
+    new = match_discrete_maxwellian(f.v_grid, *targets, rtol=SOLVE_RTOL)
+    if failed is None:
+        _close(new, oracle_match_discrete_maxwellian(f.v_grid, *targets, rtol=SOLVE_RTOL))
+    # Empty nodes get the zero function exactly.
+    empty = targets[0] == 0.0
+    assert not new[empty].any()
+    # The returned Maxwellian carries the target moments.
+    field = PhaseField(f.x_grid, f.v_grid, new.reshape(f.values.shape))
+    macro = moments(field)
+    rho, current, energy2 = targets
+    m = rho.size
+    assert np.all(np.abs(macro.rho.reshape(m) - rho) <= 1e-12 * rho)
+    assert np.all(np.abs(2.0 * macro.e_kin.reshape(m) - energy2) <= 1e-12 * energy2)
+    bound = np.sqrt(rho * energy2)  # |J| <= sqrt(rho E2) by Cauchy-Schwarz
+    assert np.all(np.abs(macro.current.reshape(f.dimension, m).T - current) <= 1e-12 * bound[:, None])
+
+
 class TestMaxwellianMatchMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(f=maxwellian_targets())
     def test_matches_full_gaussian_newton(self, f):
-        targets = _targets(f)
-        failed = _failure(lambda: oracle_match_discrete_maxwellian(f.v_grid, *targets))
-        if failed is not None:
-            # A state a coarse grid cannot match fails the same way, at the
-            # same node (the stall residual may differ in its last digits).
-            again = _failure(lambda: match_discrete_maxwellian(f.v_grid, *targets))
-            assert again is not None and again.split(";")[0] == failed.split(";")[0]
-            return
-        old = oracle_match_discrete_maxwellian(f.v_grid, *targets)
-        new = match_discrete_maxwellian(f.v_grid, *targets)
-        _close(new, old)
-        # Empty nodes get the zero function exactly.
-        empty = targets[0] == 0.0
-        assert not new[empty].any()
-        # The returned Maxwellian carries the target moments.
-        field = PhaseField(f.x_grid, f.v_grid, new.reshape(f.values.shape))
-        macro = moments(field)
-        rho, current, energy2 = targets
-        m = rho.size
-        assert np.all(np.abs(macro.rho.reshape(m) - rho) <= 1e-12 * rho)
-        assert np.all(np.abs(2.0 * macro.e_kin.reshape(m) - energy2) <= 1e-12 * energy2)
-        bound = np.sqrt(rho * energy2)  # |J| <= sqrt(rho E2) by Cauchy-Schwarz
-        assert np.all(np.abs(macro.current.reshape(f.dimension, m).T - current) <= 1e-12 * bound[:, None])
+        _check_against_oracle(f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=fast_cold_targets())
+    def test_matches_on_fast_cold_flows(self, f):
+        _check_against_oracle(f)
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_same_failures_on_the_same_nodes(self, dimension):
