@@ -25,7 +25,6 @@ for _var in (
     os.environ.setdefault(_var, _threads)
 
 import argparse
-import importlib.util
 import json
 import sys
 import time
@@ -54,13 +53,14 @@ def _write_csv(path: Path, header: str, rows: list) -> None:
 
 
 def _installed_version(dist: str) -> str | None:
-    """Version of an installed distribution, read without importing it: from
-    its ``<dist>-<version>.dist-info`` directory beside the package (through
-    importlib.metadata it would add ~1 MiB to a run's peak RSS)."""
-    spec = importlib.util.find_spec(dist)
-    if spec is not None and spec.origin is not None:
-        for info in Path(spec.origin).parent.parent.glob(f"{dist}-*.dist-info"):
-            return info.name[len(dist) + 1 : -len(".dist-info")]
+    """``Version:`` of the first dist-info or egg-info record of ``dist`` on
+    sys.path, as importlib.metadata.version reads it (importing that adds
+    ~1 MiB to a run's peak RSS); None if absent or its directory has two."""
+    for folder in (Path(entry or ".") for entry in sys.path):
+        found = [*folder.glob(f"{dist}-*.dist-info/METADATA"), *folder.glob(f"{dist}[-.]*egg-info/PKG-INFO")]
+        if found:
+            lines = found[0].read_text(errors="replace").splitlines() if len(found) == 1 else []
+            return next((line[8:].strip() for line in lines if line.startswith("Version:")), None)
     return None
 
 

@@ -145,6 +145,15 @@ def _gram_map(d: int) -> np.ndarray:
     return counts
 
 
+def _axis_gaussians(eta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Factors exp(eta_0 / d + eta_a x_a + eta_{d+1} x_a^2) of M, (m', d, n_v)."""
+    g = eta[:, -1, None, None] * x
+    g += eta[:, 1:-1, None]
+    g *= x
+    g += eta[:, :1, None] / x.shape[1]
+    return np.exp(g, out=g)
+
+
 def match_discrete_maxwellian(
     v_grid: VelocityGrid,
     rho: np.ndarray,
@@ -165,7 +174,8 @@ def match_discrete_maxwellian(
     Newton runs on the natural parameters eta of M = exp(eta_0 + eta . xi +
     eta_{d+1} |xi|^2), the Lagrange multipliers of the moment constraints; the
     Jacobian is the Gram matrix of (1, xi, |xi|^2) under M, from per-axis power
-    sums.  The phase-space Maxwellian is formed once, at convergence.
+    sums.  The phase-space Maxwellian is formed once, one Newton step after
+    the residual test passes.
     """
     d = v_grid.dimension
     rho = np.asarray(rho, dtype=float)
@@ -198,48 +208,43 @@ def match_discrete_maxwellian(
 
     # eta is held in the variable x = xi - u with u = J / rho fixed, starting
     # at the continuous Maxwellian; in xi the terms of the exponent would
-    # grow like |u|^2 / theta and cancel near the peak.
+    # grow like |u|^2 / theta and cancel near the peak.  Sharing eta_0 across
+    # the per-axis factors, each peaks near exp(log amplitude / d), so it
+    # underflows only where M does.
     x = powers[1] - u[:, :, None]  # (m', d, n_v)
     eta = np.zeros_like(targets)
     eta[:, 0] = np.log(r) - 0.5 * d * np.log(2.0 * np.pi * theta)
     eta[:, -1] = -0.5 / theta
 
     for _ in range(max_iter):
-        # g_a = exp(eta_0 / d + eta_a x_a + eta_{d+1} x_a^2) peaks near
-        # exp(log amplitude / d): it underflows only where the Gaussian does.
-        g = eta[:, -1, None, None] * x
-        g += eta[:, 1 : 1 + d, None]
-        g *= x
-        g += eta[:, :1, None] / d
-        g = np.exp(g, out=g)  # (m', d, n_v)
+        g = _axis_gaussians(eta, x)
         sums = (g.reshape(-1, v_grid.n_v) @ powers.T).reshape(len(r), d, 5)
         table = v_grid.weight * sums[:, 0]  # (m', 5): monomial moments in xi_1
         if d == 2:
             table = table[:, :, None] * sums[:, 1, None, :]  # (m', 5, 5)
         gram = (table.reshape(len(r), -1) @ _gram_map(d)).reshape(len(r), d + 2, d + 2)
         resid = gram[:, :, 0] - targets
-        if float(np.abs(resid / scale).max()) <= rtol:
-            # Zero factors at the rho = 0 nodes give their zero function.
-            factors = np.zeros((m, d, v_grid.n_v))
-            factors[idx] = g
-            if d == 1:
-                return factors[:, 0]
-            return factors[:, 0, :, None] * factors[:, 1, None, :]
+        converged = float(np.abs(resid / scale).max()) <= rtol
         try:
             step = np.linalg.solve(gram, -resid[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise CollisionMomentError(f"singular moment Jacobian: {exc}") from exc
-        # keep eta_{d+1} < 0 (theta > 0): per-node damping
-        d_eta2 = step[:, -1]
-        lam = np.ones(len(r))
-        shrink = d_eta2 > -0.5 * eta[:, -1]
-        lam[shrink] = -0.5 * eta[shrink, -1] / d_eta2[shrink]
-        step *= lam[:, None]
+        # Per-node damping: |eta_{d+1}| changes by at most half per step, so
+        # eta_{d+1} stays < 0 (theta > 0) and M cannot collapse in one step.
+        step /= np.maximum(1.0, np.abs(step[:, -1:]) / (-0.5 * eta[:, -1:]))
         # The step is in the multipliers of (1, xi, |xi|^2); in x = xi - u
         # it reads (s_0 + s . u + s_{d+1} |u|^2, s + 2 s_{d+1} u, s_{d+1}).
         step[:, 0] += np.einsum("ma,ma->m", step[:, 1 : 1 + d] + step[:, -1:] * u, u)
         step[:, 1 : 1 + d] += 2.0 * step[:, -1:] * u
         eta += step
+        if converged:
+            # One step past the test takes the residual to rounding level.
+            # Zero factors at the rho = 0 nodes give their zero function.
+            factors = np.zeros((m, d, v_grid.n_v))
+            factors[idx] = _axis_gaussians(eta, x)
+            if d == 1:
+                return factors[:, 0]
+            return factors[:, 0, :, None] * factors[:, 1, None, :]
     worst = idx[int(np.argmax(np.abs(resid / scale).max(axis=1)))]
     raise CollisionMomentError(
         f"moment matching stalled at node {worst}; "

@@ -91,8 +91,7 @@ def leray_project(grid: TorusGrid, v: np.ndarray) -> np.ndarray:
     """Remove the gradient part: P(v) = v - grad(invlap(div v)).
 
     Idempotent and self-adjoint in the discrete L2 inner product; preserves
-    the mean of each component (the k = 0 mode is untouched).  In 1-d, where
-    the divergence cannot see the Nyquist mode, P(v) is the mean of v.
+    the mean of each component (in 1-d, where div misses the Nyquist mode, P(v) is that mean).
     """
     v = _check_velocity(grid, v)
     if grid.dimension == 1:

@@ -428,10 +428,28 @@ def test_import_does_not_load_scipy():
     assert not _loaded_after_cli_import("scipy")
 
 
-def test_installed_version():
+def test_installed_version(tmp_path, monkeypatch):
     assert _installed_version("scipy") == scipy.__version__
     assert _installed_version("numpy") == np.__version__
     assert _installed_version("no_such_distribution") is None
+
+    def record(folder, name, text):
+        (folder / name).mkdir(parents=True)
+        (folder / name / ("PKG-INFO" if name.endswith(".egg-info") else "METADATA")).write_text(text)
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    record(first, "demo-1.0.dist-info", "Metadata-Version: 2.1\nName: demo\nVersion: 1.0.post1\n")
+    record(second, "demo.egg-info", "Name: demo\nVersion: 2.0\n")
+    record(second, "other-3.0.dist-info", "Name: other\n")
+    monkeypatch.setattr(sys, "path", [str(tmp_path), str(first), str(second)])
+    # The first record on the path wins, and its Version line, not its name.
+    assert _installed_version("demo") == "1.0.post1"
+    assert _installed_version("other") is None  # no Version line
+    # Two records in one directory: which is installed is not known.
+    record(first, "demo-0.9.dist-info", "Name: demo\nVersion: 0.9\n")
+    assert _installed_version("demo") is None
+    monkeypatch.setattr(sys, "path", [str(second)])
+    assert _installed_version("demo") == "2.0"
 
 
 POOL_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
