@@ -822,8 +822,8 @@ def _check_target_moments(f: PhaseField, targets, new: np.ndarray) -> None:
 # below its rtol; at the default 1e-13 that iterate lies up to 1.5e-13 of
 # max|M| from the exact discrete Maxwellian (seen against a long-double
 # Newton solve), so it is compared after running on to 1e-14.  The match
-# under test runs at its default rtol and takes one Newton step past its
-# test: it lies within 3e-15 of that exact Maxwellian on these states.
+# under test runs at its default rtol and returns an iterate at rounding
+# level: it lies within 3e-15 of that exact Maxwellian on these states.
 REFERENCE_RTOL = 1e-14
 
 
