@@ -30,12 +30,15 @@ from one cached dense operator; the shift is uniform along each row, so
 evaluating the spline is a 2-point stencil with per-row weights.  In 1-d
 the stencil is evaluated for one group of rows at a time, the rows that
 share a whole-cell shift.  In 2-d the shift of one spatial node's velocity
-slab along each axis is a fixed n x n matrix, built from a cached basis per
-whole-cell shift, so the kick is two small matrix products per node.  Both
-work in blocks that keep their scratch small.  The distribution is 0
-beyond the velocity box (outflow by truncation); negative interpolation
-overshoot is clipped to keep f >= 0, and the mass added by clipping is
-reported with each substep.
+slab along each axis is a fixed n x n matrix, so the kick is two small
+matrix products per node.  Per kick and axis, each node's 5 coefficients
+go into the columns of its whole-cell shift in one coefficient matrix, and
+the cached bases of those shifts are stacked into one read-only matrix, so
+a block of nodes gets its operators from one product.  Both kicks work in
+blocks that keep their scratch small.  The distribution is 0 beyond the
+velocity box (outflow by truncation); negative interpolation overshoot is
+clipped to keep f >= 0, and the mass added by clipping is reported with
+each substep.
 
 Diagnostics are evaluated on the end-of-step state with a *fresh* field
 solve at that time; mixing the half-step potential with end-step moments
@@ -130,8 +133,14 @@ class SimulationParams:
             raise ValueError(f"unknown field mode {self.field_mode!r}")
         if not (self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (self.dt > 0.0) or self.t_end < 0.0:
-            raise ValueError("need dt > 0 and t_end >= 0")
+        if not (self.dt > 0.0):
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (0.0 <= self.t_end < np.inf):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
+        if not (0.0 <= self.a_max_estimate < np.inf):
+            raise ValueError(
+                f"a_max_estimate must be finite and >= 0, got {self.a_max_estimate}"
+            )
         if self.collision.kind == "direct":
             raise ValueError(
                 "direct collision quadrature is a diagnostic operator; "
@@ -186,6 +195,8 @@ def check_initial_state(
         raise ValueError(f"delta must lie in [0, 0.9], got {ic.delta}")
     if not (ic.theta > 0.0):
         raise ValueError(f"theta must be positive, got {ic.theta}")
+    if not np.isfinite(ic.u0_amplitude):
+        raise ValueError(f"u0_amplitude must be finite, got {ic.u0_amplitude}")
     min_dimension = {"cosine_x": 1, "cosine_xy": 2, "random": 1}
     if ic.profile not in min_dimension:
         raise ValueError(
@@ -246,25 +257,28 @@ def make_initial_condition(
 ) -> PhaseField:
     """Well-prepared product state rho0(x) * Gaussian(u0(x), theta).
 
-    The velocity factor at each spatial node is normalized by its own
-    discrete mass, so the discrete density equals rho0 exactly and the total
-    mass is exactly 1.  Rejects what check_initial_state rejects.
+    The Gaussian factors over the velocity axes: at each spatial node it is
+    the product of one factor exp(-(xi - u0_a)^2 / 2 theta) per axis a, so
+    the factors are built at shape (d, spatial nodes, n_v) and the phase
+    space is written once.  The velocity factor at each node is normalized
+    by its own discrete mass, the product of its factors' sums, so the
+    discrete density equals rho0 and the total mass is 1, both to roundoff
+    (in 1-d the state is the dense formula's, byte for byte).  Rejects what
+    check_initial_state rejects.
     """
     d = x_grid.dimension
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     rho0, u0 = check_initial_state(ic, x_grid, v_grid.v_max)
 
-    mesh = v_grid.node_mesh()
-    q = np.zeros(x_grid.shape + v_grid.shape)
-    for a in range(d):
-        xi = mesh[a].reshape((1,) * d + v_grid.shape)
-        q += (xi - u0[a].reshape(x_grid.shape + (1,) * d)) ** 2
-    values = np.exp(-q / (2.0 * ic.theta))
-    vaxes = tuple(range(d, 2 * d))
-    node_mass = values.sum(axis=vaxes) * v_grid.weight
-    values *= (rho0 / node_mass).reshape(x_grid.shape + (1,) * d)
-    return PhaseField(x_grid, v_grid, values, 0.0)
+    xi = v_grid.axis_nodes()
+    q = (xi - u0.reshape(d, -1, 1)) ** 2
+    factors = np.exp(-q / (2.0 * ic.theta))
+    node_mass = np.prod(factors.sum(axis=-1), axis=0) * v_grid.weight
+    values = factors[0] * (rho0.reshape(-1) / node_mass)[:, None]
+    if d == 2:
+        values = values[:, :, None] * factors[1][:, None, :]
+    return PhaseField(x_grid, v_grid, values.reshape(x_grid.shape + v_grid.shape), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -449,27 +463,35 @@ def _shift_basis(n: int, h: float, c: int, transposed: bool) -> np.ndarray:
     return basis
 
 
-def _shift_operators(
-    shifts: tuple[np.ndarray, np.ndarray, np.ndarray],
-    nodes: slice,
-    n: int,
-    h: float,
-    transposed: bool,
-) -> np.ndarray:
-    """The n x n shift operators (or their transposes) of a block of nodes.
+@lru_cache(maxsize=16)
+def _stacked_shift_basis(n: int, h: float, lo: int, hi: int, transposed: bool) -> np.ndarray:
+    """The _shift_basis of every whole-cell shift lo..hi, stacked.
 
-    ``shifts`` is what _shift_weights returns for every node.  One small
-    GEMM per distinct c in the block: (nodes, 5) @ (5, n * n), the 5
-    weights being the stencil's 4 and the edge flag.
+    Shape (5 (hi - lo + 1), n * n): rows 5 (c - lo) to 5 (c - lo) + 4 are
+    the basis of shift c.  Read-only: the cached array is shared by every
+    call with the same key.
     """
-    c, weights, on_edge = shifts
-    c = c[nodes]
-    coef = np.vstack([weights[:, nodes], on_edge[nodes]]).T
-    ops = np.empty((c.size, n * n))
-    for shift in np.unique(c):
-        group = np.flatnonzero(c == shift)
-        ops[group] = coef[group] @ _shift_basis(n, h, int(shift), transposed)
-    return ops.reshape(-1, n, n)
+    basis = np.concatenate([_shift_basis(n, h, c, transposed) for c in range(lo, hi + 1)])
+    basis.flags.writeable = False
+    return basis
+
+
+def _shift_coefficients(
+    sigma: np.ndarray, n: int, h: float, transposed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's shift operator S (or S^T) as coef @ basis; returns both.
+
+    ``basis`` is _stacked_shift_basis from the least to the greatest
+    whole-cell shift in ``sigma``.  Row i of coef holds node i's 5
+    coefficients, the stencil's 4 weights and the edge flag (see
+    _shift_weights), in the 5 columns of its own shift and 0 elsewhere, so
+    row i of coef @ basis is node i's flat n x n operator.
+    """
+    c, weights, on_edge = _shift_weights(sigma, n, h)
+    lo, hi = int(c.min()), int(c.max())
+    coef = np.zeros((c.size, hi - lo + 1, 5))
+    coef[np.arange(c.size), (c - lo).astype(np.intp)] = np.vstack([weights, on_edge]).T
+    return coef.reshape(c.size, -1), _stacked_shift_basis(n, h, lo, hi, transposed)
 
 
 def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
@@ -491,9 +513,10 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
     c, weights, on_edge = _shift_weights(sigma, n, h)
     out = np.zeros(values.shape)
     block = max(1, KICK_SCRATCH_BYTES // (n * values.itemsize))
-    for shift in np.unique(c):
-        s = int(shift)
-        group = np.flatnonzero(c == shift)
+    for s in range(int(c.min()), int(c.max()) + 1):
+        group = np.flatnonzero(c == s)
+        if group.size == 0:
+            continue
         lo, hi = max(s, 0), min(n - 1 + s, n)  # output nodes inside the box
         a, b = lo - s, hi - s
         if lo < hi:
@@ -518,20 +541,24 @@ def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
     """Shift the velocity slab of every node of a 2-d state by its own sigma.
 
     ``values`` is (x1, x2, v1, v2) and ``sigma`` (2, x1, x2) in cells.  Each
-    node's kick is out = S1 f S2^T with S_b its shift operator along v_b
-    (_shift_operators), v1 first, computed a block of at most
-    KICK_SCRATCH_BYTES of nodes at a time into one output.
+    node's kick is out = S1 f S2^T with S_b its shift operator along v_b,
+    v1 first, computed a block of at most KICK_SCRATCH_BYTES of nodes at a
+    time into one output.  Per axis, the nodes' coefficients and the
+    stacked basis of their whole-cell shifts are built once per kick
+    (_shift_coefficients), so a block's operators are one matrix product:
+    its rows of coef times the basis.
     """
     n = values.shape[-1]
     src = np.ascontiguousarray(values).reshape(-1, n, n)
     out = np.empty(values.shape)
     dst = out.reshape(src.shape)
-    first, second = (_shift_weights(s, n, h) for s in sigma.reshape(2, -1))
+    coef1, basis1 = _shift_coefficients(sigma[0].reshape(-1), n, h, transposed=False)
+    coef2, basis2_t = _shift_coefficients(sigma[1].reshape(-1), n, h, transposed=True)
     block = max(1, KICK_SCRATCH_BYTES // (n * n * values.itemsize))
     for r0 in range(0, len(src), block):
         r = slice(r0, r0 + block)
-        kicked = _shift_operators(first, r, n, h, transposed=False) @ src[r]
-        s2_t = _shift_operators(second, r, n, h, transposed=True)
+        kicked = (coef1[r] @ basis1).reshape(-1, n, n) @ src[r]
+        s2_t = (coef2[r] @ basis2_t).reshape(-1, n, n)
         np.matmul(kicked, s2_t, out=dst[r])
     return out
 

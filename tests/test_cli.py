@@ -281,6 +281,31 @@ class TestSimulateVerb:
         assert code == 2
         assert "needs seed >= " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "replacements, message",
+        [
+            ([("t_end = 0.05", "t_end = inf")], "t_end must be finite"),
+            ([("t_end = 0.05", "t_end = nan")], "t_end must be finite"),
+            ([("u0 = zero", "u0 = constant\nu0_amplitude = nan"), ("v_max = auto", "v_max = 5.0")],
+             "u0_amplitude must be finite"),
+            ([("a_max = 0.5", "a_max = nan")], "a_max_estimate must be finite and >= 0"),
+            ([("a_max = 0.5", "a_max = -1")], "a_max_estimate must be finite and >= 0"),
+        ],
+    )
+    def test_non_finite_or_negative_value_exits_2_and_names_the_key(
+        self, tmp_path, capsys, replacements, message
+    ):
+        text = TINY
+        for old, new in replacements:
+            text = text.replace(old, new)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert not out.exists()
+
 
 class TestSweepVerb:
     def test_quasineutral_outputs(self, tmp_path):
@@ -404,16 +429,20 @@ class TestCheckVerb:
         assert all(c["passed"] for c in payload["checks"])
 
 
-def _loaded_after_cli_import(module: str) -> bool:
+def _fresh_interpreter(probe: str, *args: str) -> str:
+    """stdout of ``probe`` run by a fresh interpreter that imports src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = f"import sys, quasikin.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
-    return result.stdout.strip() == "True"
+    return result.stdout.strip()
+
+
+def _loaded_after_cli_import(module: str) -> bool:
+    return _fresh_interpreter(f"import sys, quasikin.cli; print({module!r} in sys.modules)") == "True"
 
 
 def test_import_does_not_load_scipy_linalg():
@@ -426,6 +455,27 @@ def test_import_does_not_load_scipy():
     # Only the tests use scipy; the manifest reads its version from the
     # installed distribution's metadata directory.
     assert not _loaded_after_cli_import("scipy")
+
+
+def test_run_imports_no_numpy_ma(tmp_path):
+    # numpy.ma costs ~15 ms to import; np.unique without optional outputs
+    # loads it (numpy 2.4), so a run must not reach for it.
+    paths = []
+    for name, text in (("tiny", TINY), ("tiny_drift", TINY_MODE_DRIFT)):  # 1-d BGK, 2-d
+        paths.append(tmp_path / f"{name}.cfg")
+        paths[-1].write_text(text)
+    probe = (
+        "import json, sys, quasikin.cli\n"
+        "from quasikin.config import load_config\n"
+        "from quasikin.vlasov import run\n"
+        "params = [load_config(p).make_params() for p in sys.argv[1:]]\n"
+        "before = set(sys.modules)\n"
+        "for p in params:\n"
+        "    run(p)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    imported = json.loads(_fresh_interpreter(probe, *map(str, paths)))
+    assert not [m for m in imported if m == "numpy.ma" or m.startswith("numpy.ma.")], imported
 
 
 def test_installed_version(tmp_path, monkeypatch):
