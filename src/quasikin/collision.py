@@ -23,7 +23,12 @@ kinetic energy) by construction rather than by accident of resolution:
   by default).  The raw quadrature breaks the invariants at interpolation
   accuracy, so the result is orthogonally projected (in the midpoint-weighted
   inner product) onto the complement of span{1, xi, |xi|^2}.  It is a
-  verification oracle: d = 2 only, n_v <= 32.
+  verification oracle: d = 2 only, n_v <= 32.  As xi1'(xi, xi1) = xi'(xi1, xi)
+  bit for bit (the center and |xi - xi1| are symmetric in the pair, sigma
+  changes sign exactly), one bilinear stencil of xi' per angle gives both
+  post-collision values for every spatial node of a block; a block's gain
+  accumulator holds at most DIRECT_SCRATCH_BYTES (one block on 4 x 4 nodes
+  up to n_v = 24).
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
 ]
 
 DIRECT_MAX_NV = 32
+DIRECT_SCRATCH_BYTES = 64 << 20  # bytes of the direct quadrature's gain per node block
 
 
 class CollisionMomentError(RuntimeError):
@@ -71,8 +77,8 @@ class CollisionConfig:
             raise ValueError(f"unknown collision kind {self.kind!r}")
         if self.kind == "bgk" and not (self.tau > 0.0):
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
         if self.n_sigma < 8 or self.n_sigma % 2 != 0:
             raise ValueError(f"n_sigma must be even and >= 8, got {self.n_sigma}")
 
@@ -285,28 +291,6 @@ def bgk_collide(f: PhaseField, tau: float, dt: float) -> PhaseField:
 # ---------------------------------------------------------------------------
 
 
-def _bilinear_gather(fv: np.ndarray, pts: np.ndarray, v_grid: VelocityGrid) -> np.ndarray:
-    """Bilinear interpolation of fv (n_v, n_v) at pts (..., 2); 0 outside."""
-    n = v_grid.n_v
-    h = v_grid.h_v
-    x0 = v_grid.axis_nodes()[0]
-    g = (pts - x0) / h  # fractional node index per component
-    i0 = np.floor(g).astype(np.int64)
-    t = g - i0
-    vals = np.zeros(pts.shape[:-1])
-    for da in (0, 1):
-        for db in (0, 1):
-            ia = i0[..., 0] + da
-            ib = i0[..., 1] + db
-            inside = (ia >= 0) & (ia < n) & (ib >= 0) & (ib < n)
-            wgt = (t[..., 0] if da else 1.0 - t[..., 0]) * (
-                t[..., 1] if db else 1.0 - t[..., 1]
-            )
-            contrib = np.where(inside, fv[np.clip(ia, 0, n - 1), np.clip(ib, 0, n - 1)], 0.0)
-            vals += wgt * contrib
-    return vals
-
-
 def _project_out_invariants(v_grid: VelocityGrid, q: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the complement of span{1, xi, |xi|^2}."""
     _, feats = _features(v_grid)
@@ -321,12 +305,16 @@ def boltzmann_collide_direct(f: PhaseField, config: CollisionConfig) -> np.ndarr
 
     Restricted to d = 2 and n_v <= 32 (cost grows like n_v^4 n_sigma per
     spatial node); intended as an independent check of the BGK surrogate,
-    not as a time-stepping model.
+    not as a time-stepping model.  One bilinear stencil of xi' per angle
+    serves every node of a block of spatial nodes, whose gain accumulator
+    holds at most DIRECT_SCRATCH_BYTES, and both post-collision velocities:
+    the xi1' values are the pair transpose of the xi' values.
     """
     if f.dimension != 2:
         raise ValueError("direct collision quadrature is implemented for d = 2 only")
     vg = f.v_grid
-    if vg.n_v > DIRECT_MAX_NV:
+    n = vg.n_v
+    if n > DIRECT_MAX_NV:
         raise ValueError(f"direct quadrature capped at n_v <= {DIRECT_MAX_NV}")
 
     nodes, _ = _features(vg)  # (K, 2)
@@ -337,6 +325,7 @@ def boltzmann_collide_direct(f: PhaseField, config: CollisionConfig) -> np.ndarr
         e_hat = np.where(r[..., None] > 0.0, rel / np.maximum(r, 1e-300)[..., None], 0.0)
     perp = np.stack([-e_hat[..., 1], e_hat[..., 0]], axis=-1)
     center = 0.5 * (nodes[:, None, :] + nodes[None, :, :])
+    half_r = 0.5 * r[..., None]
 
     n_sigma = config.n_sigma
     alphas = (np.arange(n_sigma) + 0.5) * np.pi / n_sigma - 0.5 * np.pi
@@ -344,19 +333,28 @@ def boltzmann_collide_direct(f: PhaseField, config: CollisionConfig) -> np.ndarr
     kernel = (r**config.gamma) * (vg.weight / n_sigma)  # (K, K)
     np.fill_diagonal(kernel, 0.0)
 
-    out = np.empty(f.x_grid.shape + vg.shape)
-    fv_all = f.values.reshape(f.x_grid.shape + (vg.n_v, vg.n_v))
-    for index in np.ndindex(*f.x_grid.shape):
-        fv = fv_all[index]
-        f_flat = fv.ravel()
-        loss_pairs = f_flat[:, None] * f_flat[None, :]  # f(xi) f(xi1)
-        gain = np.zeros((k, k))
-        for a in range(n_sigma):
-            sigma = np.cos(alphas[a]) * e_hat + np.sin(alphas[a]) * perp  # (K,K,2)
-            xi_p = center + 0.5 * r[..., None] * sigma
-            xi1_p = center - 0.5 * r[..., None] * sigma
-            gain += _bilinear_gather(fv, xi_p, vg) * _bilinear_gather(fv, xi1_p, vg)
-        # sum over xi1 of (sigma-summed gain - n_sigma * loss) * per-sigma weight
-        q_xi = ((gain - loss_pairs * n_sigma) * kernel).sum(axis=1)
-        out[index] = _project_out_invariants(vg, q_xi).reshape(vg.shape)
-    return out
+    values = f.values.reshape(-1, n, n)
+    # A two-node zero border: lower-left corners clipped to [-2, n] read 0 outside.
+    padded = np.pad(values, ((0, 0), (2, 2), (2, 2))).reshape(len(values), -1)
+    out = np.empty((len(values), k))
+    block = max(1, DIRECT_SCRATCH_BYTES // (k * k * out.itemsize))
+    for start in range(0, len(values), block):
+        rows = padded[start : start + block]
+        gain = np.zeros((len(rows), k, k))
+        for alpha in alphas:
+            sigma = np.cos(alpha) * e_hat + np.sin(alpha) * perp  # (K, K, 2)
+            g = (center + half_r * sigma - vg.axis_nodes()[0]) / vg.h_v
+            i0 = np.floor(g)  # lower-left corner of xi' in node units
+            t0, t1 = np.moveaxis(g - i0, -1, 0)
+            weights = [a * b for a in (1.0 - t0, t0) for b in (1.0 - t1, t1)]
+            base = ((np.clip(i0, -2.0, n) + 2.0) @ [n + 4.0, 1.0]).astype(np.intp)
+            for row, acc in zip(rows, gain):
+                vals = sum(w * row[o:][base] for o, w in zip((0, 1, n + 4, n + 5), weights))
+                acc += vals * vals.T  # f(xi') f(xi1')
+        for index, acc in enumerate(gain, start):
+            f_flat = values[index].ravel()
+            loss_pairs = f_flat[:, None] * f_flat[None, :]  # f(xi) f(xi1)
+            # sum over xi1 of (sigma-summed gain - n_sigma * loss) * per-sigma weight
+            q_xi = ((acc - loss_pairs * n_sigma) * kernel).sum(axis=1)
+            out[index] = _project_out_invariants(vg, q_xi)
+    return out.reshape(f.x_grid.shape + vg.shape)

@@ -131,8 +131,8 @@ class SimulationParams:
     def __post_init__(self) -> None:
         if self.field_mode not in FIELD_MODES:
             raise ValueError(f"unknown field mode {self.field_mode!r}")
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (0.0 < self.epsilon < np.inf):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (0.0 <= self.t_end < np.inf):
@@ -193,8 +193,8 @@ def check_initial_state(
     """
     if not (0.0 <= ic.delta <= 0.9):
         raise ValueError(f"delta must lie in [0, 0.9], got {ic.delta}")
-    if not (ic.theta > 0.0):
-        raise ValueError(f"theta must be positive, got {ic.theta}")
+    if not (0.0 < ic.theta < np.inf):
+        raise ValueError(f"theta must be positive and finite, got {ic.theta}")
     if not np.isfinite(ic.u0_amplitude):
         raise ValueError(f"u0_amplitude must be finite, got {ic.u0_amplitude}")
     min_dimension = {"cosine_x": 1, "cosine_xy": 2, "random": 1}

@@ -162,6 +162,8 @@ class TestConfig:
             (("theta = 0.4", "theta = 0.4\nprofile = random\nmax_mode = 0"), "max_mode must be >= 1"),
             (("theta = 0.4", "theta = 0.4\nprofile = random\nseed = -102"), "profile random needs seed >= -101"),
             (("u0 = zero", "u0 = random_bandlimited\nseed = -1"), "random_bandlimited needs seed >= 0"),
+            (("epsilon = 0.5", "epsilon = inf"), "epsilon must be positive and finite"),
+            (("theta = 0.4", "theta = inf"), "theta must be positive and finite"),
         ],
     )
     def test_rejections(self, tmp_path, mutation, match):

@@ -87,6 +87,8 @@ class TestCollisionConfig:
             {"kind": "direct", "n_sigma": 7},
             {"kind": "direct", "n_sigma": 4},
             {"kind": "direct", "gamma": -0.5},
+            {"kind": "direct", "gamma": float("nan")},
+            {"kind": "direct", "gamma": float("inf")},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
