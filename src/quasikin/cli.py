@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 check-suite failure, 2 configuration/usage error,
 3 runtime failure.  The numerical thread pools default to the CPUs this
 process may run on; set QUASIKIN_THREADS to size them otherwise, or a pool's
 own variable for that pool alone (either must be set before the interpreter
-first loads numpy to take effect).
+first loads numpy to take effect).  No product on a shipped scenario's run
+path is big enough for OpenBLAS to thread, so outputs do not depend on the
+pool size; a larger pool only costs start-up when numpy loads.
 """
 
 import os

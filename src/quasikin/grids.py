@@ -255,7 +255,8 @@ def _feature_moments(f: PhaseField, columns: slice) -> np.ndarray:
     feats = _feature_matrix(f.v_grid)[:, columns]
     lead = f.x_grid.n_x if f.dimension == 2 else 1
     out = f.values.reshape(lead, -1, feats.shape[0]) @ feats
-    return np.moveaxis(out.reshape(f.x_grid.shape + (feats.shape[1],)), -1, 0)
+    d = f.dimension
+    return out.reshape(f.x_grid.shape + (feats.shape[1],)).transpose(d, *range(d))
 
 
 def moments(f: PhaseField) -> MacroFields:

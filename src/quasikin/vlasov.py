@@ -83,6 +83,9 @@ __all__ = [
 FIELD_MODES = ("monge_ampere", "poisson", "none")
 VELOCITY_MARGIN_SIGMAS = 6.0  # v_max must cover u_max + 6 sqrt(theta)
 KICK_SCRATCH_BYTES = 1 << 19  # bytes in one block of rows or slabs the kick takes
+# Multiply-adds in one 1-d kick block's product: OpenBLAS keeps a GEMM up to
+# 10^6 of them on the calling thread and splits a larger one over its pool.
+KICK_BLOCK_MULADDS = 10**6
 
 
 @dataclass(frozen=True)
@@ -397,17 +400,27 @@ def _spline_curvature_operator(n: int, h: float) -> np.ndarray:
     The natural spline through n samples at spacing h has M_0 = M_{n-1} = 0
     and M_{i-1} + 4 M_i + M_{i+1} = 6 (f_{i-1} - 2 f_i + f_{i+1}) / h^2
     inside, so K = 6/h^2 A^{-1} D_2 is the same for every row of a velocity
-    axis.  Read-only: the cached array is shared by every call.
+    axis.  A^{-1} D_2 comes from the tridiagonal (Thomas) recurrence on the
+    interior (1, 4, 1) rows, applied to all n columns of D_2 at once:
+    forward elimination r_i = (D_2[i] - r_{i-1}) / p_i with pivots
+    p_i = 4 - 1/p_{i-1} (p_0 = inf, r_0 = 0), then back substitution
+    r_i -= r_{i+1} / p_i.  Rows 0 and n - 1 stay 0.  Read-only: the cached
+    array is shared by every call.
     """
-    a = np.eye(n)
-    d2 = np.zeros((n, n))
+    k = np.zeros((n, n))
     i = np.arange(1, n - 1)
-    a[i, i] = 4.0
-    a[i, i - 1] = a[i, i + 1] = 1.0
-    d2[i, i - 1] = d2[i, i + 1] = 1.0
-    d2[i, i] = -2.0
+    k[i, i - 1] = k[i, i + 1] = 1.0
+    k[i, i] = -2.0
+    c = np.zeros(n)
+    for row in range(1, n - 1):
+        pivot = 4.0 - c[row - 1]
+        c[row] = 1.0 / pivot
+        k[row] -= k[row - 1]
+        k[row] /= pivot
+    for row in range(n - 3, 0, -1):
+        k[row] -= c[row] * k[row + 1]
     # Fortran order, so the K.T that the 1-d kick multiplies by is C-ordered.
-    k = np.asfortranarray(np.linalg.solve(a, d2) * (6.0 / h**2))
+    k = np.asfortranarray(k * (6.0 / h**2))
     k.flags.writeable = False
     return k
 
@@ -503,16 +516,18 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
     Positions outside [0, n - 1] give 0 (outflow).  A zero shift reproduces
     the row bitwise.
 
-    The rows of each distinct c are gathered a block of at most
-    KICK_SCRATCH_BYTES at a time: the block's M is one matrix product, and
-    its stencil is written to the group's output nodes only.  Every other
-    node of the group's rows stays 0, except the edge node.
+    The rows of each distinct c are gathered in blocks of equal size, each
+    of at most KICK_SCRATCH_BYTES and KICK_BLOCK_MULADDS: the block's M is
+    one matrix product, and its stencil is written to the group's output
+    nodes only.  Every other node of the group's rows stays 0, except the
+    edge node.
     """
     n = values.shape[-1]
     curvature_t = _spline_curvature_operator(n, h).T
     c, weights, on_edge = _shift_weights(sigma, n, h)
     out = np.zeros(values.shape)
-    block = max(1, KICK_SCRATCH_BYTES // (n * values.itemsize))
+    fit = KICK_SCRATCH_BYTES // (n * values.itemsize)
+    block = max(1, min(fit, KICK_BLOCK_MULADDS // (n * n)))
     for s in range(int(c.min()), int(c.max()) + 1):
         group = np.flatnonzero(c == s)
         if group.size == 0:
@@ -520,8 +535,9 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
         lo, hi = max(s, 0), min(n - 1 + s, n)  # output nodes inside the box
         a, b = lo - s, hi - s
         if lo < hi:
-            for r0 in range(0, group.size, block):
-                rows = group[r0 : r0 + block]
+            step = -(-group.size // -(-group.size // block))  # fewest blocks, even sizes
+            for r0 in range(0, group.size, step):
+                rows = group[r0 : r0 + step]
                 f = values[rows]
                 m = f @ curvature_t
                 w = weights[:, rows, None]

@@ -25,7 +25,9 @@ rebuilt the pair geometry and two bilinear gathers, at xi' and at xi1', for
 every spatial node; it now builds one stencil per angle for a block of
 nodes and reads xi1' as the pair transpose of xi'.  Only the grouping of
 the work changed, not one floating-point operation, so it must be bitwise
-equal to the oracle.
+equal to the oracle.  The velocity spline's curvature operator K was a dense
+solve of the natural-spline system; it is now the tridiagonal recurrence,
+which must agree with the dense solve to 1e-14 of max|K|.
 """
 
 import tracemalloc
@@ -494,6 +496,20 @@ def oracle_initial_values(ic: WellPreparedIC, x_grid: TorusGrid, v_grid: Velocit
     return values
 
 
+def oracle_spline_curvature_operator(n: int, h: float) -> np.ndarray:
+    a = np.eye(n)
+    d2 = np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    a[i, i] = 4.0
+    a[i, i - 1] = a[i, i + 1] = 1.0
+    d2[i, i - 1] = d2[i, i + 1] = 1.0
+    d2[i, i] = -2.0
+    # Fortran order, so the K.T that the 1-d kick multiplies by is C-ordered.
+    k = np.asfortranarray(np.linalg.solve(a, d2) * (6.0 / h**2))
+    k.flags.writeable = False
+    return k
+
+
 # ---------------------------------------------------------------------------
 # Properties.
 # ---------------------------------------------------------------------------
@@ -577,6 +593,17 @@ def _kick_agrees(f: PhaseField, sigma: np.ndarray) -> None:
     assert new.values[still].tobytes() == f.values[still].tobytes()
 
 
+class _Products(np.ndarray):
+    """A view that records the shape of the other operand of each matmul."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        assert ufunc is np.matmul and method == "__call__" and inputs[1] is self
+        _Products.shapes.append(inputs[0].shape)
+        return ufunc(inputs[0], inputs[1].view(np.ndarray), **kwargs)
+
+
 class TestKickBlocks:
     """The 1-d kick gathers each shift group's rows, and the 2-d kick takes
     spatial nodes, in blocks of at most KICK_SCRATCH_BYTES; a kick that
@@ -621,6 +648,54 @@ class TestKickBlocks:
         assert peak <= f.values.nbytes + 5 * vlasov.KICK_SCRATCH_BYTES
         assert peak < 12 * 2**20
         assert peak < 25.4 * 2**20
+
+    # A group larger than one block goes in blocks of even size whose
+    # products stay within KICK_BLOCK_MULADDS, so OpenBLAS keeps each on the
+    # calling thread.  A zero field, as in every kick of equilibrium_d1, is
+    # one group too.
+    @pytest.mark.parametrize("n_x, rows", [(64, [32, 32]), (200, [50, 50, 50, 50])])
+    @pytest.mark.parametrize("shifts", [(0.0, 0.0), (0.05, 0.95), (-0.95, -0.05)])
+    def test_one_group_matches_oracle_in_even_blocks(self, n_x, rows, shifts):
+        f = _state(1, n_x, 128, seed=n_x)
+        sigma = np.random.default_rng(n_x).uniform(*shifts, (1, n_x))
+        assert np.unique(np.ceil(sigma)).size == 1
+        curvature = vlasov._spline_curvature_operator
+        _Products.shapes = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                vlasov, "_spline_curvature_operator", lambda n, h: curvature(n, h).view(_Products)
+            )
+            _kick_agrees(f, sigma)
+        assert [shape[0] for shape in _Products.shapes] == rows
+        assert all(m * 128 * 128 <= vlasov.KICK_BLOCK_MULADDS for m in rows)
+
+
+class TestSplineCurvatureOperator:
+    """K = 6/h^2 A^-1 D_2 from the tridiagonal recurrence against the dense
+    solve it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([4, 5, 7, 16, 32, 64, 128]), h=st.floats(1e-3, 1.0))
+    def test_matches_dense_solve(self, n, h):
+        k = vlasov._spline_curvature_operator.__wrapped__(n, h)
+        old = oracle_spline_curvature_operator(n, h)
+        assert np.abs(k - old).max() <= 1e-14 * np.abs(old).max()
+        assert not k[0].any() and not k[-1].any()
+
+    def test_cached_read_only_and_fortran_ordered(self):
+        k = vlasov._spline_curvature_operator(32, 0.25)
+        assert k is vlasov._spline_curvature_operator(32, 0.25)
+        assert not k.flags.writeable
+        assert k.flags.f_contiguous and k.T.flags.c_contiguous
+
+    def test_needs_no_dense_solve(self):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "solve", refuse)
+            k = vlasov._spline_curvature_operator.__wrapped__(128, 0.1)
+        assert k.shape == (128, 128)
 
 
 def _below_half_ulp(c: int, k: int) -> float:
