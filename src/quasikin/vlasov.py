@@ -83,8 +83,9 @@ __all__ = [
 FIELD_MODES = ("monge_ampere", "poisson", "none")
 VELOCITY_MARGIN_SIGMAS = 6.0  # v_max must cover u_max + 6 sqrt(theta)
 KICK_SCRATCH_BYTES = 1 << 19  # bytes in one block of rows or slabs the kick takes
-# Multiply-adds in one 1-d kick block's product: OpenBLAS keeps a GEMM up to
-# 10^6 of them on the calling thread and splits a larger one over its pool.
+# Multiply-adds in one 1-d kick block's product.  The OpenBLAS bundled with
+# numpy keeps a GEMM of up to 10^6 on the calling thread and splits a larger
+# one over its pool, whose handoff costs more than it saves at these sizes.
 KICK_BLOCK_MULADDS = 10**6
 
 
@@ -403,9 +404,9 @@ def _spline_curvature_operator(n: int, h: float) -> np.ndarray:
     axis.  A^{-1} D_2 comes from the tridiagonal (Thomas) recurrence on the
     interior (1, 4, 1) rows, applied to all n columns of D_2 at once:
     forward elimination r_i = (D_2[i] - r_{i-1}) / p_i with pivots
-    p_i = 4 - 1/p_{i-1} (p_0 = inf, r_0 = 0), then back substitution
-    r_i -= r_{i+1} / p_i.  Rows 0 and n - 1 stay 0.  Read-only: the cached
-    array is shared by every call.
+    p_i = 4 - c_{i-1} and c_i = 1 / p_i (c_0 = 0, r_0 = 0), then back
+    substitution r_i -= c_i r_{i+1}.  Rows 0 and n - 1 stay 0.  Read-only:
+    the cached array is shared by every call.
     """
     k = np.zeros((n, n))
     i = np.arange(1, n - 1)
@@ -535,7 +536,8 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
         lo, hi = max(s, 0), min(n - 1 + s, n)  # output nodes inside the box
         a, b = lo - s, hi - s
         if lo < hi:
-            step = -(-group.size // -(-group.size // block))  # fewest blocks, even sizes
+            blocks = -(-group.size // block)  # the fewest that fit
+            step = -(-group.size // blocks)  # rows in each, evened out
             for r0 in range(0, group.size, step):
                 rows = group[r0 : r0 + step]
                 f = values[rows]
