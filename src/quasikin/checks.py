@@ -43,7 +43,14 @@ from .monge_ampere import (
     determinant_of_potential,
     solve_field,
 )
-from .vlasov import SimulationParams, WellPreparedIC, advect_v, advect_x, run
+from .vlasov import (
+    SimulationParams,
+    WellPreparedIC,
+    advect_v,
+    advect_x,
+    make_initial_condition,
+    run,
+)
 
 
 @dataclass(frozen=True)
@@ -277,9 +284,12 @@ def check_equilibrium_fixed_point() -> tuple[bool, str]:
         collision=CollisionConfig(kind="bgk", tau=0.1),
         ic=WellPreparedIC(theta=1.0), a_max_estimate=0.1,
     )
-    trajectory = run(params)
-    f0 = grid_integral(trajectory.params.x_grid(), trajectory.rho[0])
-    drift = np.abs(trajectory.rho[-1] - trajectory.rho[0]).max() / f0
+    x_grid = params.x_grid()
+    rho0 = moments(
+        make_initial_condition(params.ic, x_grid, params.v_grid(), params.epsilon)
+    ).rho
+    rho = moments(run(params).final).rho
+    drift = np.abs(rho - rho0).max() / grid_integral(x_grid, rho0)
     return drift <= 1e-10, f"density drift {drift:.2e} from equilibrium (tol 1e-10)"
 
 

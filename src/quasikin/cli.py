@@ -7,17 +7,17 @@ Verbs:
   check     invariant battery -> table (and optional JSON report)
 
 Exit codes: 0 success, 1 check-suite failure, 2 configuration/usage error,
-3 runtime failure.  The numerical thread pools default to the CPUs this
-process may run on; set QUASIKIN_THREADS to size them otherwise, or a pool's
-own variable for that pool alone (either must be set before the interpreter
-first loads numpy to take effect).  No product on a shipped scenario's run
-path is big enough for OpenBLAS to thread, so outputs do not depend on the
-pool size; a larger pool only costs start-up when numpy loads.
+3 runtime failure.  The numerical thread pools default to one thread: no
+product on a shipped scenario's run path is big enough for OpenBLAS to
+thread, so a larger pool only costs start-up when numpy loads, and outputs
+do not depend on the pool size.  Set QUASIKIN_THREADS to size them
+otherwise, or a pool's own variable for that pool alone (either must be set
+before the interpreter first loads numpy to take effect).
 """
 
 import os
 
-_threads = os.environ.get("QUASIKIN_THREADS") or str(len(os.sched_getaffinity(0)))
+_threads = os.environ.get("QUASIKIN_THREADS") or "1"
 for _var in (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -54,18 +54,6 @@ def _write_csv(path: Path, header: str, rows: list) -> None:
             handle.write(row + "\n")
 
 
-def _installed_version(dist: str) -> str | None:
-    """``Version:`` of the first dist-info or egg-info record of ``dist`` on
-    sys.path, as importlib.metadata.version reads it (importing that adds
-    ~1 MiB to a run's peak RSS); None if absent or its directory has two."""
-    for folder in (Path(entry or ".") for entry in sys.path):
-        found = [*folder.glob(f"{dist}-*.dist-info/METADATA"), *folder.glob(f"{dist}[-.]*egg-info/PKG-INFO")]
-        if found:
-            lines = found[0].read_text(errors="replace").splitlines() if len(found) == 1 else []
-            return next((line[8:].strip() for line in lines if line.startswith("Version:")), None)
-    return None
-
-
 def _write_manifest(path: Path, payload: dict) -> None:
     with open(path, "w", newline="\n") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -98,7 +86,6 @@ def _run_one(
             "config_sha256": config.source_sha256,
             "package_version": __version__,
             "numpy_version": np.__version__,
-            "scipy_version": _installed_version("scipy"),
             "dimension": params.dimension,
             "n_x": params.n_x,
             "n_v": params.n_v,

@@ -4,8 +4,8 @@ Everything here is a pure evaluator on simulation state: conserved totals
 (mass, momentum, energy with the eps^2 field weighting), the velocity-
 modulated energy against a reference flow, the density-weighted current
 mismatch, the spectral H^{-1} departure from neutrality, a convex-duality
-cross-check of the current functional, moment-equation residuals from
-snapshot windows, and L2 current errors against an Euler state.
+cross-check of the current functional, and L2 current errors against an
+Euler state.
 
 Records reject NaN and infinite values.  Two discrete inequalities are
 enforced as record invariants because they hold exactly (up to roundoff)
@@ -31,15 +31,12 @@ from .grids import (
     inverse_laplacian_zero_mean,
     l2_norm,
     moments,
-    spectral_divergence,
-    spectral_gradient,
 )
 from .monge_ampere import FieldSolveReport, Potential
 
 __all__ = [
     "CSV_COLUMNS",
     "DegenerateDensityError",
-    "InsufficientSnapshotsError",
     "DiagnosticsRecord",
     "format_cell",
     "relative_energy_drift",
@@ -49,7 +46,6 @@ __all__ = [
     "h_functional",
     "quasineutrality_norm",
     "k_functional_check",
-    "moment_residuals",
     "current_error",
     "build_record",
 ]
@@ -78,10 +74,6 @@ CSV_COLUMNS = (
 
 class DegenerateDensityError(ValueError):
     """A near-vacuum node carries current: the run is under-resolved."""
-
-
-class InsufficientSnapshotsError(ValueError):
-    """Centered time differencing needs at least three snapshots."""
 
 
 def format_cell(value) -> str:
@@ -329,59 +321,6 @@ def current_error(grid: TorusGrid, current, euler_velocity, mode: str) -> float:
     if mode == "divfree":
         return l2_norm(grid, leray_project(grid, j) - u)
     raise ValueError(f"unknown current_error mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# Moment-equation residuals from snapshot windows.
-# ---------------------------------------------------------------------------
-
-
-def moment_residuals(
-    grid: TorusGrid, times, rho, current, stress, force=None
-) -> tuple[float, float]:
-    """Discrete residuals of the mass and momentum balance laws.
-
-    Time derivatives are centered differences on a uniformly spaced snapshot
-    window (>= 3 snapshots); space derivatives are spectral.  ``stress`` is
-    the (d, d) second moment per snapshot, ``force`` the per-snapshot
-    density-weighted field gradient rho * grad(phi) (omit for field-free
-    runs).  Returns the largest spatial L2 residual over interior snapshots
-    of
-
-        r_mass     = d_t rho + div J,
-        r_momentum = d_t J + div S - force.
-    """
-    times = np.asarray(times, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    current = np.asarray(current, dtype=float)
-    stress = np.asarray(stress, dtype=float)
-    n_t = len(times)
-    d = grid.dimension
-    if n_t < 3:
-        raise InsufficientSnapshotsError(
-            f"need >= 3 snapshots for centered differences, got {n_t}"
-        )
-    steps = np.diff(times)
-    if np.any(steps <= 0) or np.abs(steps - steps[0]).max() > 1e-9 * steps[0]:
-        raise ValueError("snapshot times must be uniformly spaced and increasing")
-    dt = float(steps[0])
-    if force is None:
-        force = np.zeros_like(current)
-    else:
-        force = np.asarray(force, dtype=float)
-
-    r_mass = 0.0
-    r_mom = 0.0
-    for i in range(1, n_t - 1):
-        drho = (rho[i + 1] - rho[i - 1]) / (2.0 * dt)
-        div_j = spectral_divergence(grid, current[i])
-        r_mass = max(r_mass, l2_norm(grid, drho + div_j))
-        dj = (current[i + 1] - current[i - 1]) / (2.0 * dt)
-        div_s = np.stack(
-            [spectral_divergence(grid, stress[i, b]) for b in range(d)]
-        )
-        r_mom = max(r_mom, l2_norm(grid, dj + div_s - force[i]))
-    return r_mass, r_mom
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
-from quasikin.cli import _installed_version, main
+from quasikin.cli import main
 from quasikin.config import ConfigError, Schedule, load_config
 from quasikin.grids import TorusGrid
 from quasikin.diagnostics import DiagnosticsRecord
@@ -209,7 +208,6 @@ class TestSimulateVerb:
         assert manifest["scenario"] == "tiny"
         assert manifest["rows"] == 6
         assert len(manifest["config_sha256"]) == 64
-        assert manifest["scipy_version"] == scipy.__version__
         snaps = sorted(p.name for p in (out / "snapshots").glob("*.bin"))
         assert snaps == ["step_000000.bin", "step_000002.bin",
                          "step_000004.bin", "step_000005.bin"]
@@ -430,6 +428,17 @@ class TestCheckVerb:
         assert payload["passed"] is True
         assert all(c["passed"] for c in payload["checks"])
 
+    def test_full_suite_passes(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        code = main(["check", "--suite", "full", "--json", str(report)])
+        assert code == 0
+        assert "checks passed (full suite)" in capsys.readouterr().out
+        payload = json.loads(report.read_text())
+        assert payload["passed"] is True
+        assert len(payload["checks"]) == 16
+        assert all(c["passed"] for c in payload["checks"])
+        assert "equilibrium_fixed_point" in [c["name"] for c in payload["checks"]]
+
 
 def _fresh_interpreter(probe: str, *args: str) -> str:
     """stdout of ``probe`` run by a fresh interpreter that imports src/."""
@@ -454,8 +463,7 @@ def test_import_does_not_load_scipy_linalg():
 
 
 def test_import_does_not_load_scipy():
-    # Only the tests use scipy; the manifest reads its version from the
-    # installed distribution's metadata directory.
+    # Only the tests use scipy.
     assert not _loaded_after_cli_import("scipy")
 
 
@@ -480,30 +488,6 @@ def test_run_imports_no_numpy_ma(tmp_path):
     assert not [m for m in imported if m == "numpy.ma" or m.startswith("numpy.ma.")], imported
 
 
-def test_installed_version(tmp_path, monkeypatch):
-    assert _installed_version("scipy") == scipy.__version__
-    assert _installed_version("numpy") == np.__version__
-    assert _installed_version("no_such_distribution") is None
-
-    def record(folder, name, text):
-        (folder / name).mkdir(parents=True)
-        (folder / name / ("PKG-INFO" if name.endswith(".egg-info") else "METADATA")).write_text(text)
-
-    first, second = tmp_path / "first", tmp_path / "second"
-    record(first, "demo-1.0.dist-info", "Metadata-Version: 2.1\nName: demo\nVersion: 1.0.post1\n")
-    record(second, "demo.egg-info", "Name: demo\nVersion: 2.0\n")
-    record(second, "other-3.0.dist-info", "Name: other\n")
-    monkeypatch.setattr(sys, "path", [str(tmp_path), str(first), str(second)])
-    # The first record on the path wins, and its Version line, not its name.
-    assert _installed_version("demo") == "1.0.post1"
-    assert _installed_version("other") is None  # no Version line
-    # Two records in one directory: which is installed is not known.
-    record(first, "demo-0.9.dist-info", "Name: demo\nVersion: 0.9\n")
-    assert _installed_version("demo") is None
-    monkeypatch.setattr(sys, "path", [str(second)])
-    assert _installed_version("demo") == "2.0"
-
-
 POOL_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
@@ -524,9 +508,8 @@ def _pools_after_import(**env_overrides) -> dict:
     return json.loads(result.stdout)
 
 
-def test_thread_pools_default_to_the_usable_cpus():
-    usable = str(len(os.sched_getaffinity(0)))
-    assert _pools_after_import() == dict.fromkeys(POOL_VARIABLES, usable)
+def test_thread_pools_default_to_one_thread():
+    assert _pools_after_import() == dict.fromkeys(POOL_VARIABLES, "1")
 
 
 def test_explicit_thread_settings_win():
@@ -534,6 +517,5 @@ def test_explicit_thread_settings_win():
     assert pools == dict.fromkeys(POOL_VARIABLES, "1")
     pools = _pools_after_import(QUASIKIN_THREADS="1", OPENBLAS_NUM_THREADS="3")
     assert pools == {**dict.fromkeys(POOL_VARIABLES, "1"), "OPENBLAS_NUM_THREADS": "3"}
-    pools = _pools_after_import(OPENBLAS_NUM_THREADS="1")
-    usable = str(len(os.sched_getaffinity(0)))
-    assert pools == {**dict.fromkeys(POOL_VARIABLES, usable), "OPENBLAS_NUM_THREADS": "1"}
+    pools = _pools_after_import(OPENBLAS_NUM_THREADS="2")
+    assert pools == {**dict.fromkeys(POOL_VARIABLES, "1"), "OPENBLAS_NUM_THREADS": "2"}

@@ -21,14 +21,12 @@ from quasikin.diagnostics import (
     CSV_COLUMNS,
     DegenerateDensityError,
     DiagnosticsRecord,
-    InsufficientSnapshotsError,
     build_record,
     current_error,
     field_energy,
     h_functional,
     k_functional_check,
     modulated_energy,
-    moment_residuals,
     quasineutrality_norm,
     relative_energy_drift,
     total_energy,
@@ -275,58 +273,6 @@ class TestKFunctional:
                 np.zeros((2, 1) + grid.shape),
                 [1.0, -0.5],
                 [],
-            )
-
-
-class TestMomentResiduals:
-    def test_equilibrium_trajectory_is_exact(self):
-        grid = TorusGrid(1, 16)
-        n_t = 5
-        times = np.linspace(0.0, 0.4, n_t)
-        rho = np.ones((n_t,) + grid.shape)
-        current = np.zeros((n_t, 1) + grid.shape)
-        stress = 0.7 * np.ones((n_t, 1, 1) + grid.shape)  # constant pressure
-        r_mass, r_mom = moment_residuals(grid, times, rho, current, stress)
-        assert r_mass <= 1e-10 and r_mom <= 1e-10
-
-    def test_traveling_wave_residual_is_second_order(self):
-        # rho = 1 + a cos(2 pi (x - c t)), J = c (rho - 1) satisfies the mass
-        # law exactly; the only residual is the centered-difference error.
-        grid = TorusGrid(1, 64)
-        x = grid.axis_coords()
-        a, c = 0.3, 0.7
-
-        def window(dt):
-            times = np.array([0.0, dt, 2 * dt])
-            rho = np.stack([1.0 + a * np.cos(2 * np.pi * (x - c * t)) for t in times])
-            current = (c * (rho - 1.0))[:, None]
-            stress = np.zeros((3, 1, 1) + grid.shape)
-            r_mass, _ = moment_residuals(grid, times, rho, current, stress)
-            return r_mass
-
-        coarse, fine = window(2e-2), window(1e-2)
-        assert coarse / fine == pytest.approx(4.0, rel=0.05)
-
-    def test_needs_three_snapshots(self):
-        grid = TorusGrid(1, 8)
-        with pytest.raises(InsufficientSnapshotsError):
-            moment_residuals(
-                grid,
-                [0.0, 0.1],
-                np.ones((2,) + grid.shape),
-                np.zeros((2, 1) + grid.shape),
-                np.zeros((2, 1, 1) + grid.shape),
-            )
-
-    def test_rejects_nonuniform_times(self):
-        grid = TorusGrid(1, 8)
-        with pytest.raises(ValueError, match="uniform"):
-            moment_residuals(
-                grid,
-                [0.0, 0.1, 0.3],
-                np.ones((3,) + grid.shape),
-                np.zeros((3, 1) + grid.shape),
-                np.zeros((3, 1, 1) + grid.shape),
             )
 
 

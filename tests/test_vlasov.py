@@ -308,7 +308,7 @@ class TestStrangStep:
         f = f0
         for _ in range(params.n_steps):
             f = flipped_step(f)
-        e_flipped = observe(f, params).record.e_total
+        e_flipped = observe(f, params).e_total
         drift_flipped = abs(e_flipped - e0)
         assert drift_flipped >= 100.0 * max(drift_correct, 1e-12)
 
@@ -389,14 +389,12 @@ class TestRun:
         rows_b = [r.to_csv_row() for r in second.records]
         assert rows_a == rows_b
 
-    def test_macro_histories_align_with_records(self):
+    def test_first_record_is_the_observed_initial_state(self):
         params = d1_params(dt=5e-3, t_end=0.03)
+        assert not params.euler_reference
+        f0 = make_initial_condition(
+            params.ic, params.x_grid(), params.v_grid(), params.epsilon
+        )
         trajectory = run(params)
-        n = len(trajectory.records)
-        assert trajectory.rho.shape == (n, 64)
-        assert trajectory.current.shape == (n, 1, 64)
-        assert trajectory.stress.shape == (n, 1, 1, 64)
-        assert trajectory.force.shape == (n, 1, 64)
-        # the stored density matches each record's mass
-        for i, record in enumerate(trajectory.records):
-            assert trajectory.rho[i].mean() == pytest.approx(record.mass, rel=1e-12)
+        assert observe(f0, params).to_csv_row() == trajectory.records[0].to_csv_row()
+        assert trajectory.stress.shape == (len(trajectory.records), 1, 1, 64)
