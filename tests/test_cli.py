@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quasikin
 from quasikin.cli import main
 from quasikin.config import ConfigError, Schedule, load_config
 from quasikin.grids import TorusGrid
@@ -213,6 +214,13 @@ class TestSimulateVerb:
                          "step_000004.bin", "step_000005.bin"]
         assert (out / "snapshots" / "step_000000.json").is_file()
         assert "tiny: 5 steps" in capsys.readouterr().out
+
+    def test_manifest_names_only_the_imported_versions(self, tiny_cfg, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tiny_cfg), "--output", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        versions = {k: v for k, v in manifest.items() if k.endswith("_version")}
+        assert versions == {"package_version": quasikin.__version__, "numpy_version": np.__version__}
 
     def test_rerun_is_byte_identical(self, tiny_cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -439,6 +447,21 @@ class TestCheckVerb:
         assert all(c["passed"] for c in payload["checks"])
         assert "equilibrium_fixed_point" in [c["name"] for c in payload["checks"]]
 
+    def test_equilibrium_check_sees_a_moved_density(self, monkeypatch):
+        from quasikin import checks
+        from quasikin.vlasov import run
+
+        def run_and_move_one_cell(params):
+            trajectory = run(params)
+            trajectory.final.values[0] *= 1.001
+            return trajectory
+
+        assert checks.check_equilibrium_fixed_point()[0]
+        monkeypatch.setattr(checks, "run", run_and_move_one_cell)
+        passed, detail = checks.check_equilibrium_fixed_point()
+        assert not passed
+        assert detail.startswith("density drift ") and detail.endswith("from equilibrium (tol 1e-10)")
+
 
 def _fresh_interpreter(probe: str, *args: str) -> str:
     """stdout of ``probe`` run by a fresh interpreter that imports src/."""
@@ -491,13 +514,14 @@ def test_run_imports_no_numpy_ma(tmp_path):
 POOL_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _pools_after_import(**env_overrides) -> dict:
-    """The pool variables a fresh interpreter holds once quasikin.cli is loaded."""
+def _pools_after_import(prelude: str = "", **env_overrides) -> dict:
+    """The pool variables a fresh interpreter holds once quasikin.cli is
+    loaded, after running the statements in ``prelude``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k not in POOL_VARIABLES + ("QUASIKIN_THREADS",)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_overrides)
-    probe = (
+    probe = prelude + (
         "import json, os, quasikin.cli; "
         f"print(json.dumps({{v: os.environ.get(v) for v in {POOL_VARIABLES!r}}}))"
     )
@@ -510,6 +534,12 @@ def _pools_after_import(**env_overrides) -> dict:
 
 def test_thread_pools_default_to_one_thread():
     assert _pools_after_import() == dict.fromkeys(POOL_VARIABLES, "1")
+
+
+def test_import_needs_no_cpu_affinity_query():
+    # os.sched_getaffinity exists on Linux only.
+    pools = _pools_after_import("import os; os.__dict__.pop('sched_getaffinity', None); ")
+    assert pools == dict.fromkeys(POOL_VARIABLES, "1")
 
 
 def test_explicit_thread_settings_win():

@@ -12,6 +12,7 @@ import pytest
 
 from quasikin.collision import CollisionConfig
 from quasikin.diagnostics import total_energy
+from quasikin.euler import EulerState
 from quasikin.grids import (
     PhaseField,
     TorusGrid,
@@ -29,6 +30,7 @@ from quasikin.vlasov import (
     advect_x,
     make_initial_condition,
     observe,
+    reference_flow,
     run,
 )
 
@@ -398,3 +400,12 @@ class TestRun:
         trajectory = run(params)
         assert observe(f0, params).to_csv_row() == trajectory.records[0].to_csv_row()
         assert trajectory.stress.shape == (len(trajectory.records), 1, 1, 64)
+
+    def test_first_record_with_an_euler_reference(self):
+        params = d1_params(dt=5e-3, t_end=0.01, euler_reference=True)
+        x_grid = params.x_grid()
+        f0 = make_initial_condition(params.ic, x_grid, params.v_grid(), params.epsilon)
+        u0 = EulerState.from_velocity(x_grid, reference_flow(params.ic, x_grid)).u
+        first = run(params).records[0]
+        assert first.to_csv_row() == observe(f0, params, u0).to_csv_row()
+        assert first.to_csv_row() != observe(f0, params).to_csv_row()
