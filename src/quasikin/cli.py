@@ -234,6 +234,8 @@ def cmd_euler(args) -> int:
             f"need finite --dt > 0, --t-end >= 0 and --amplitude, "
             f"got {args.dt:g}, {args.t_end:g} and {args.amplitude:g}"
         )
+    if args.sample_stride < 1:
+        raise ConfigError(f"need --sample-stride >= 1, got {args.sample_stride}")
     kwargs = {"amplitude": args.amplitude, "seed": args.seed}
     if args.kind == "constant":
         kwargs = {"value": [args.amplitude] + [0.0] * (args.dimension - 1)}
@@ -250,8 +252,7 @@ def cmd_euler(args) -> int:
     n_steps = round(args.t_end / args.dt)
     if abs(n_steps * args.dt - args.t_end) > 1e-8 * max(1.0, args.t_end):
         raise ConfigError("t_end must be an integer number of steps")
-    stride = max(1, args.sample_stride)
-    sample_steps = list(range(0, n_steps + 1, stride))
+    sample_steps = list(range(0, n_steps + 1, args.sample_stride))
     if sample_steps[-1] != n_steps:
         sample_steps.append(n_steps)
     sample_times = [k * args.dt for k in sample_steps]

@@ -86,7 +86,7 @@ class RunConfig:
         ic = replace(self.ic, delta=self.delta(eps), theta=self.theta(eps))
         v_max = self.v_max
         if v_max is None:  # a theta <= 0 is rejected by the params check
-            v_max = ic.u0_amplitude + AUTO_V_SIGMAS * math.sqrt(max(ic.theta, 0.0)) + AUTO_V_MARGIN
+            v_max = abs(ic.u0_amplitude) + AUTO_V_SIGMAS * math.sqrt(max(ic.theta, 0.0)) + AUTO_V_MARGIN
         run_fields = self.run_fields
         if field_mode is not None:
             run_fields = {**run_fields, "field_mode": field_mode}

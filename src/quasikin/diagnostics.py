@@ -41,7 +41,6 @@ __all__ = [
     "format_cell",
     "relative_energy_drift",
     "field_energy",
-    "total_energy",
     "modulated_energy",
     "h_functional",
     "quasineutrality_norm",
@@ -164,15 +163,6 @@ def field_energy(potential: Potential | None) -> float:
         return 0.0
     g2 = (potential.grad**2).sum(axis=0)
     return 0.5 * potential.epsilon**2 * grid_integral(potential.grid, g2)
-
-
-def total_energy(
-    f: PhaseField, potential: Potential | None = None
-) -> tuple[float, float, float]:
-    """(e_kinetic, e_field, e_total) for one phase-space state."""
-    e_kin = grid_integral(f.x_grid, moments(f).e_kin)
-    e_fld = field_energy(potential)
-    return e_kin, e_fld, e_kin + e_fld
 
 
 def modulated_energy(
@@ -330,23 +320,20 @@ def current_error(grid: TorusGrid, current, euler_velocity, mode: str) -> float:
 
 def build_record(
     f: PhaseField,
+    macro: MacroFields,
     potential: Potential | None,
     euler_velocity=None,
     clipped_mass: float = 0.0,
     report: FieldSolveReport | None = None,
-    macro: MacroFields | None = None,
 ) -> DiagnosticsRecord:
     """Evaluate every monitored functional for one snapshot.
 
-    With no reference velocity the modulated energy is taken against u = 0
-    (it then equals the total energy) and the current-error cells stay
-    empty.  ``macro`` may be passed to reuse moments already computed by the
-    caller; it must belong to the same state.
+    ``macro`` holds the moments of ``f``.  With no reference velocity the
+    modulated energy is taken against u = 0 (it then equals the total
+    energy) and the current-error cells stay empty.
     """
     grid = f.x_grid
     d = f.dimension
-    if macro is None:
-        macro = moments(f)
     u = (
         np.zeros((d,) + grid.shape)
         if euler_velocity is None

@@ -10,7 +10,7 @@ is pure RK4 time-integration error.
 Velocity fields are arrays of shape (d,) + grid.shape.  In d = 1
 incompressibility forces u to be constant in x, so the reference "flow" is
 a constant — exactly the hydrodynamic limit there — and euler_step returns
-it unchanged.  ``pressure`` recovers the pressure on demand.
+it unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "initial_velocity",
     "cfl_bound",
     "euler_step",
-    "pressure",
     "solve_euler",
     "kinetic_energy",
     "EulerReference",
@@ -143,12 +142,6 @@ class EulerState:
 
     def max_speed(self) -> float:
         return float(np.sqrt((self.u**2).sum(axis=0)).max())
-
-
-def pressure(state: EulerState) -> np.ndarray:
-    """Zero-mean pressure of the state, recovered from -div((u . grad)u)."""
-    adv = _advection(state.grid, state.u)
-    return inverse_laplacian_zero_mean(state.grid, -spectral_divergence(state.grid, adv))
 
 
 def kinetic_energy(state: EulerState) -> float:

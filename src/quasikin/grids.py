@@ -46,7 +46,6 @@ __all__ = [
     "spectral_gradient",
     "spectral_divergence",
     "spectral_hessian",
-    "spectral_laplacian",
     "inverse_laplacian_zero_mean",
     "real_fourier_basis",
     "grid_integral",
@@ -418,15 +417,6 @@ def spectral_hessian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_laplacian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
-    _check_spatial(grid, field)
-    d2 = _spectral_operators(grid.n_x).d2
-    out = _along_axis(d2, field, 0)
-    for a in range(1, grid.dimension):
-        out += _along_axis(d2, field, a)
-    return out
-
-
 def inverse_laplacian_zero_mean(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
     """Solve Laplace(phi) = field with zero-mean phi.
 
@@ -493,7 +483,7 @@ def random_bandlimited_field(
 # ---------------------------------------------------------------------------
 
 
-def write_snapshot(f: PhaseField, path_base, field_name: str = "f") -> None:
+def write_snapshot(f: PhaseField, path_base) -> None:
     """Write ``<path_base>.bin`` (raw <f8, row-major) and ``<path_base>.json``."""
     base = Path(path_base)
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -504,7 +494,7 @@ def write_snapshot(f: PhaseField, path_base, field_name: str = "f") -> None:
         "n_v": f.v_grid.n_v,
         "v_max": f.v_grid.v_max,
         "time": f.time,
-        "field_name": field_name,
+        "field_name": "f",
     }
     base.with_suffix(".json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

@@ -18,13 +18,8 @@ coefficient operator eps^2 Lap as the preconditioner.  The line search halves
 the step until the max-norm residual decreases *and* the matrix
 I + eps^2 D^2 phi stays uniformly positive definite (ellipticity guard).
 
-The module also carries the algebraic identities that make the coupling
-usable as a diagnostic: the exact 2-d expansion
-
-    det(I + eps^2 D^2 phi) = 1 + eps^2 Lap(phi) + eps^4 det(D^2 phi),
-
-the divergence form det(D^2 phi) = (1/2) div(cof(D^2 phi) grad(phi)), and the
-L^2 size of cof(D^2 phi).
+The module also checks the 2-d divergence form of the determinant,
+det(D^2 phi) = (1/2) div(cof(D^2 phi) grad(phi)).
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ import numpy as np
 from .grids import (
     TorusGrid,
     inverse_laplacian_zero_mean,
-    l2_norm,
     spectral_divergence,
     spectral_gradient,
     spectral_hessian,
@@ -51,9 +45,7 @@ __all__ = [
     "FieldSolveReport",
     "solve_field",
     "determinant_of_potential",
-    "determinant_expansion_check",
     "cofactor_divergence_residual",
-    "cofactor_norm",
 ]
 
 MASS_TOLERANCE = 1e-8
@@ -105,11 +97,18 @@ class Potential:
 
 @dataclass
 class FieldSolveReport:
+    """How a field solve went.
+
+    ``mode`` is the mode the caller asked for; ``iterations`` counts the
+    Newton steps (0 for the closed-form solves); ``residual`` is the final
+    max-norm residual of the equation solved; ``damping_steps`` counts the
+    line search's step halvings over the whole solve.
+    """
+
     mode: str
     iterations: int
     residual: float
     damping_steps: int = 0
-    residual_history: list[float] = field(default_factory=list)
 
 
 def _det_i_plus(hess: np.ndarray, eps2: float) -> np.ndarray:
@@ -137,8 +136,6 @@ def _cof_i_plus(hess: np.ndarray, eps2: float) -> np.ndarray:
 
 def _min_eigenvalue(hess: np.ndarray, eps2: float) -> float:
     """Smallest eigenvalue of I + eps^2 H over the grid (2x2 symmetric)."""
-    if hess.shape[0] == 1:
-        return float((1.0 + eps2 * hess[0, 0]).min())
     a = 1.0 + eps2 * hess[0, 0]
     c = 1.0 + eps2 * hess[1, 1]
     b = eps2 * hess[0, 1]
@@ -204,9 +201,10 @@ def _pcg(apply_a, b: np.ndarray, apply_m, rtol: float = 1e-12, maxiter: int = 40
 
 
 def _solve_newton_2d(
-    grid: TorusGrid, rho: np.ndarray, epsilon: float, tol: float
+    grid: TorusGrid, rho: np.ndarray, epsilon: float
 ) -> tuple[np.ndarray, FieldSolveReport]:
     eps2 = epsilon**2
+    tol = 1e-10 * max(1.0, float(np.abs(rho).max()))
     # The grid mean of det(I + eps^2 D^2 phi) is identically 1 for periodic
     # phi, so the equation is solvable only for exactly unit-mean data.
     # Densities arriving from a time stepper carry O(1e-10) mass drift
@@ -225,7 +223,6 @@ def _solve_newton_2d(
         hess = spectral_hessian(grid, phi)
     f_val = _det_i_plus(hess, eps2) - rho
     res = float(np.abs(f_val).max())
-    history = [res]
     dampings = 0
 
     def apply_m(r: np.ndarray) -> np.ndarray:
@@ -233,9 +230,7 @@ def _solve_newton_2d(
 
     for iteration in range(MAX_NEWTON_ITERATIONS):
         if res <= tol:
-            return phi, FieldSolveReport(
-                "monge_ampere", iteration, res, dampings, history
-            )
+            return phi, FieldSolveReport("monge_ampere", iteration, res, dampings)
         cof = _cof_i_plus(hess, eps2)
 
         def apply_a(delta: np.ndarray) -> np.ndarray:
@@ -257,7 +252,6 @@ def _solve_newton_2d(
                 trial_res = float(np.abs(trial_res_field).max())
                 if trial_res < res:
                     phi, hess, f_val, res = trial, trial_hess, trial_res_field, trial_res
-                    history.append(res)
                     accepted = True
                     break
             step *= 0.5
@@ -268,14 +262,13 @@ def _solve_newton_2d(
                     "no damped Newton step keeps I + eps^2 D^2 phi positive "
                     f"definite above {ELLIPTICITY_FLOOR}; residual {res:g}"
                 )
+            # Every earlier iteration accepted exactly one step.
             raise NewtonStalledError(
                 f"residual stalled at {res:g} (tolerance {tol:g}) after "
-                f"{len(history) - 1} accepted steps"
+                f"{iteration} accepted steps"
             )
     if res <= tol:
-        return phi, FieldSolveReport(
-            "monge_ampere", MAX_NEWTON_ITERATIONS, res, dampings, history
-        )
+        return phi, FieldSolveReport("monge_ampere", MAX_NEWTON_ITERATIONS, res, dampings)
     raise NewtonStalledError(
         f"no convergence in {MAX_NEWTON_ITERATIONS} Newton iterations; residual {res:g}"
     )
@@ -286,7 +279,6 @@ def solve_field(
     rho: np.ndarray,
     epsilon: float,
     mode: str = "monge_ampere",
-    tol: float | None = None,
 ) -> tuple[Potential, FieldSolveReport]:
     """Solve the field equation for the zero-mean potential.
 
@@ -296,8 +288,11 @@ def solve_field(
         (to within 1e-8).
     epsilon : coupling parameter, > 0.
     mode : "monge_ampere" for det(I + eps^2 D^2 phi) = rho,
-        "poisson" for the linearization eps^2 Lap(phi) = rho - 1.
-    tol : max-norm residual target; defaults to 1e-10 * max(1, max(rho)).
+        "poisson" for the linearization eps^2 Lap(phi) = rho - 1.  In 1-d
+        the two are the same equation and share one closed-form solve.
+
+    The 2-d Newton iteration stops at a max-norm residual of
+    1e-10 * max(1, max(rho)).
 
     Returns (Potential, FieldSolveReport).  Raises ValueError on non-finite
     densities, NonPositiveDensityError / MassNotNormalizedError on
@@ -311,47 +306,22 @@ def solve_field(
     if mode not in ("monge_ampere", "poisson"):
         raise ValueError(f"unknown field mode {mode!r}")
     _check_density(rho)
-    if tol is None:
-        tol = 1e-10 * max(1.0, float(np.abs(rho).max()))
 
-    if mode == "poisson":
-        phi = _poisson_solution(grid, rho, epsilon)
-        pot = Potential(grid, phi, epsilon)
+    if mode == "poisson" or grid.dimension == 1:
+        # In 1-d det(I + eps^2 phi'') = 1 + eps^2 phi'' is affine, so both
+        # modes are solved in closed form by double spectral integration.
+        pot = Potential(grid, _poisson_solution(grid, rho, epsilon), epsilon)
         lap = np.trace(pot.hess, axis1=0, axis2=1)
         residual = float(np.abs(epsilon**2 * lap - (rho - 1.0)).max())
-        return pot, FieldSolveReport("poisson", 0, residual, 0, [residual])
+        return pot, FieldSolveReport(mode, 0, residual)
 
-    if grid.dimension == 1:
-        # 1-d determinant is affine in phi'': closed form by double spectral
-        # integration, identical to the linearized solve.
-        phi = _poisson_solution(grid, rho, epsilon)
-        pot = Potential(grid, phi, epsilon)
-        residual = float(np.abs(determinant_of_potential(pot) - rho).max())
-        return pot, FieldSolveReport("monge_ampere", 0, residual, 0, [residual])
-
-    phi, report = _solve_newton_2d(grid, rho, epsilon, tol)
+    phi, report = _solve_newton_2d(grid, rho, epsilon)
     return Potential(grid, phi, epsilon), report
 
 
 # ---------------------------------------------------------------------------
-# Determinant / cofactor diagnostics (2-d only where the algebra is nontrivial)
+# Cofactor diagnostic (2-d only, where the algebra is nontrivial)
 # ---------------------------------------------------------------------------
-
-
-def determinant_expansion_check(pot: Potential) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exact 2-d splitting of the determinant into linear and quartic parts.
-
-    Returns ``(full, linear, remainder_norm)`` with
-    ``full = det(I + eps^2 D^2 phi)``, ``linear = eps^2 Lap(phi)``, and
-    ``remainder_norm = max|full - 1 - linear| = eps^4 max|det D^2 phi|``.
-    """
-    if pot.grid.dimension != 2:
-        raise ValueError("determinant expansion is a d=2 diagnostic")
-    eps2 = pot.epsilon**2
-    full = _det_i_plus(pot.hess, eps2)
-    linear = eps2 * (pot.hess[0, 0] + pot.hess[1, 1])
-    remainder = full - 1.0 - linear
-    return full, linear, float(np.abs(remainder).max())
 
 
 def _bare_cofactor(hess: np.ndarray) -> np.ndarray:
@@ -377,12 +347,3 @@ def cofactor_divergence_residual(pot: Potential) -> float:
     flux = np.einsum("ab...,b...->a...", _bare_cofactor(pot.hess), pot.grad)
     div = spectral_divergence(pot.grid, flux)
     return float(np.abs(det_bare - 0.5 * div).max())
-
-
-def cofactor_norm(pot: Potential) -> float:
-    """Discrete L^2 norm of the pointwise Frobenius norm of cof(D^2 phi)."""
-    if pot.grid.dimension != 2:
-        raise ValueError("cofactor norm is a d=2 diagnostic")
-    cof = _bare_cofactor(pot.hess)
-    frob_sq = (cof**2).sum(axis=(0, 1))
-    return float(np.sqrt(frob_sq.sum() * pot.grid.cell_volume))

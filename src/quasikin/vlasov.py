@@ -645,11 +645,11 @@ def observe(
             report = fresh
     return build_record(
         f,
+        macro,
         potential,
         euler_velocity=euler_velocity,
         clipped_mass=clipped_mass,
         report=report,
-        macro=macro,
     )
 
 

@@ -173,6 +173,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match):
             load_config(path)
 
+    def test_mirrored_flow_gets_the_same_velocity_box(self, tmp_path):
+        # v_max = auto sizes the box by the flow's speed, not its sign.
+        shipped = Path(__file__).resolve().parents[1] / "scenarios" / "quasineutral_d1.cfg"
+        text = shipped.read_text()
+        assert "u0_amplitude = 0.3" in text and "t_end = 0.5" in text
+        path = tmp_path / "mirrored.cfg"
+        path.write_text(
+            text.replace("u0_amplitude = 0.3", "u0_amplitude = -0.3").replace("t_end = 0.5", "t_end = 0.01")
+        )
+        params = load_config(path).make_params()
+        assert params.ic.u0_amplitude == -0.3
+        assert params.v_max == load_config(shipped).make_params().v_max
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 0
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.cfg")
@@ -396,6 +410,8 @@ class TestEulerVerb:
             (["--dimension", "1", "--kind", "taylor_green"], "requires dimension 2"),
             (["--dt", "0.5"], "CFL bound"),
             (["--dimension", "1", "--kind", "constant", "--dt", "0.05"], "CFL bound"),
+            (["--sample-stride", "0"], "--sample-stride >= 1"),
+            (["--sample-stride", "-3"], "--sample-stride >= 1"),
         ],
     )
     def test_argument_errors_exit_2(self, tmp_path, capsys, extra, message):

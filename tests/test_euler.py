@@ -19,7 +19,6 @@ from quasikin.euler import (
     initial_velocity,
     kinetic_energy,
     leray_project,
-    pressure,
     solve_euler,
 )
 from quasikin.grids import (
@@ -113,16 +112,6 @@ class TestEulerState:
         raw = np.stack([np.sin(2 * np.pi * x) + np.sin(2 * np.pi * y), 0.0 * x])
         state = EulerState.from_velocity(grid, raw)
         assert np.abs(spectral_divergence(grid, state.u)).max() <= 1e-10
-        assert abs(pressure(state).mean()) <= 1e-12
-
-    def test_taylor_green_pressure(self):
-        # (u . grad)u = pi (sin(4 pi x), sin(4 pi y)) = -grad p for
-        # p = (cos(4 pi x) + cos(4 pi y)) / 4.
-        grid = TorusGrid(2, 32)
-        x, y = grid.coords()
-        state = EulerState.from_velocity(grid, initial_velocity(grid, "taylor_green"))
-        expected = 0.25 * (np.cos(4 * np.pi * x) + np.cos(4 * np.pi * y))
-        assert np.abs(pressure(state) - expected).max() <= 1e-12
 
     def test_random_bandlimited_requires_two_dimensions(self):
         with pytest.raises(ValueError, match="requires dimension 2"):

@@ -65,7 +65,6 @@ from quasikin.grids import (
     spectral_divergence,
     spectral_gradient,
     spectral_hessian,
-    spectral_laplacian,
     stress_moments,
 )
 from quasikin import vlasov
@@ -413,11 +412,6 @@ def oracle_spectral_hessian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
         out[0, 1] = mixed
         out[1, 0] = mixed
     return out
-
-
-def oracle_spectral_laplacian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
-    _check_spatial(grid, field)
-    return np.fft.ifftn(np.fft.fftn(field) * (-_k2_factor(grid))).real
 
 
 def oracle_inverse_laplacian_zero_mean(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
@@ -903,7 +897,6 @@ class TestSpectralCalculusMatchesOracle:
         grid, field, rng = case
         _close(spectral_gradient(grid, field), oracle_spectral_gradient(grid, field))
         _close(spectral_hessian(grid, field), oracle_spectral_hessian(grid, field))
-        _close(spectral_laplacian(grid, field), oracle_spectral_laplacian(grid, field))
         vec = np.stack([field] + [rng.standard_normal(grid.shape)] * (grid.dimension - 1))
         _close(spectral_divergence(grid, vec), oracle_spectral_divergence(grid, vec))
 
@@ -950,7 +943,6 @@ class TestSpectralCalculusMatchesOracle:
             const = np.full(grid.shape, value)
             assert not spectral_gradient(grid, const).any()
             assert not spectral_hessian(grid, const).any()
-            assert not spectral_laplacian(grid, const).any()
             vec = np.stack([const] * dimension)
             assert not spectral_divergence(grid, vec).any()
             assert (band_limit(grid, const) == value).all()

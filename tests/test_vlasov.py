@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from quasikin.collision import CollisionConfig
-from quasikin.diagnostics import total_energy
 from quasikin.euler import EulerState
 from quasikin.grids import (
     PhaseField,
