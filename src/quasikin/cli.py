@@ -10,21 +10,14 @@ Exit codes: 0 success, 1 check-suite failure, 2 configuration/usage error,
 3 runtime failure.  The numerical thread pools default to one thread: no
 product on a shipped scenario's run path is big enough for OpenBLAS to
 thread, so a larger pool only costs start-up when numpy loads, and outputs
-do not depend on the pool size.  Set QUASIKIN_THREADS to size them
-otherwise, or a pool's own variable for that pool alone (either must be set
-before the interpreter first loads numpy to take effect).
+do not depend on the pool size.  A pool's own variable, set before the
+interpreter first loads numpy, sizes that pool otherwise.
 """
 
 import os
 
-_threads = os.environ.get("QUASIKIN_THREADS") or "1"
-for _var in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-):
-    os.environ.setdefault(_var, _threads)
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import json
@@ -35,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config
+from .config import SWEEPS, ConfigError, RunConfig, load_config
 from .diagnostics import DiagnosticsRecord, format_cell, relative_energy_drift
 from .euler import VELOCITY_KINDS, solve_euler
 from .grids import TorusGrid, write_snapshot
@@ -117,14 +110,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_metrics_quasineutral(trajectory: Trajectory) -> dict:
-    records = trajectory.records
-    return {
-        "sup_modulated": max(r.modulated for r in records),
-        "sup_mismatch": max(r.mismatch for r in records),
-        "sup_quasineutrality": max(r.quasineutrality for r in records),
-        "final_current_error_divfree": records[-1].current_error_divfree,
-    }
+def _sweep_member(config: RunConfig, eps: float, out_dir: Path) -> dict:
+    """Run the sweep member at ``eps``; its metrics by convergence.csv column."""
+    label = f"eps_{eps:g}"
+    if config.sweep_kind == "mode_drift":
+        drifts = []
+        for mode in ("poisson", "monge_ampere"):
+            params = config.make_params(eps, field_mode=mode)
+            drifts.append(relative_energy_drift(_run_one(config, params, out_dir / f"{label}_{mode}").records))
+        values = (*drifts, abs(drifts[1] - drifts[0]))
+    else:
+        records = _run_one(config, config.make_params(eps), out_dir / label).records
+        values = (
+            max(r.modulated for r in records),
+            max(r.mismatch for r in records),
+            max(r.quasineutrality for r in records),
+            records[-1].current_error_divfree,
+        )
+    return dict(zip(SWEEPS[config.sweep_kind], values, strict=True))
 
 
 def _fit_slope(epsilons: list, values: list) -> float | None:
@@ -143,58 +146,33 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    failures = []
+    columns = SWEEPS[config.sweep_kind]
     rows = []
-    results = []  # (epsilon, metrics dict | None)
+    good = []  # (epsilon, metrics) of the members that finished
     for eps in config.sweep_epsilons:
-        label = f"eps_{eps:g}"
         try:
-            if config.sweep_kind == "mode_drift":
-                drifts = {}
-                for mode in ("poisson", "monge_ampere"):
-                    params = config.make_params(eps, field_mode=mode)
-                    trajectory = _run_one(config, params, out_dir / f"{label}_{mode}")
-                    drifts[mode] = relative_energy_drift(trajectory.records)
-                metrics = {
-                    "drift_poisson": drifts["poisson"],
-                    "drift_monge_ampere": drifts["monge_ampere"],
-                    "excess_drift": abs(
-                        drifts["monge_ampere"] - drifts["poisson"]
-                    ),
-                }
-            else:
-                params = config.make_params(eps)
-                trajectory = _run_one(config, params, out_dir / label)
-                metrics = _sweep_metrics_quasineutral(trajectory)
+            metrics = _sweep_member(config, eps, out_dir)
         except (ConfigError, ValueError, RuntimeError) as exc:
-            failures.append((eps, f"{type(exc).__name__}: {exc}"))
-            print(f"sweep {label} FAILED: {exc}", file=sys.stderr)
-            rows.append(format_cell(eps) + "," + "," * (len(_sweep_columns(config)) - 2) + "failed")
-            results.append((eps, None))
+            print(f"sweep eps_{eps:g} FAILED: {exc}", file=sys.stderr)
+            rows.append(",".join([format_cell(eps)] + [""] * len(columns) + ["failed"]))
             continue
-        results.append((eps, metrics))
-        cells = [eps] + [metrics[k] for k in _metric_keys(config)]
-        rows.append(",".join(map(format_cell, cells)) + ",ok")
-        print(f"sweep {label}: " + " ".join(f"{k}={format_cell(v)}" for k, v in metrics.items()))
+        good.append((eps, metrics))
+        rows.append(",".join(map(format_cell, [eps, *metrics.values()])) + ",ok")
+        print(f"sweep eps_{eps:g}: " + " ".join(f"{k}={format_cell(v)}" for k, v in metrics.items()))
 
-    _write_csv(out_dir / "convergence.csv", ",".join(_sweep_columns(config)), rows)
+    _write_csv(out_dir / "convergence.csv", ",".join(["epsilon", *columns, "status"]), rows)
 
-    good = [(e, m) for e, m in results if m is not None]
+    done = [e for e, _ in good]
+    series = {k: [m[k] for _, m in good] for k in columns}
     slopes: dict = {"scenario": config.name, "sweep_kind": config.sweep_kind}
     if config.sweep_kind == "mode_drift":
-        slopes["excess_drift_exponent"] = _fit_slope(
-            [e for e, _ in good], [m["excess_drift"] for _, m in good]
-        )
+        slopes["excess_drift_exponent"] = _fit_slope(done, series["excess_drift"])
     else:
-        slopes["quasineutrality_slope"] = _fit_slope(
-            [e for e, _ in good], [m["sup_quasineutrality"] for _, m in good]
-        )
-        sup_h = [m["sup_modulated"] for _, m in good]
-        slopes["modulated_strictly_decreasing"] = all(
-            a > b for a, b in zip(sup_h, sup_h[1:])
-        )
-        currents = [m["final_current_error_divfree"] for _, m in good]
-        if all(c is not None for c in currents) and currents:
+        slopes["quasineutrality_slope"] = _fit_slope(done, series["sup_quasineutrality"])
+        sup_h = series["sup_modulated"]
+        slopes["modulated_strictly_decreasing"] = all(a > b for a, b in zip(sup_h, sup_h[1:]))
+        currents = series["final_current_error_divfree"]
+        if currents and None not in currents:
             slopes["current_error_strictly_decreasing"] = all(
                 a > b for a, b in zip(currents, currents[1:])
             )
@@ -203,25 +181,11 @@ def cmd_sweep(args) -> int:
             )
     _write_manifest(out_dir / "slopes.json", slopes)
 
-    if failures:
-        print(f"{len(failures)} sweep point(s) failed", file=sys.stderr)
+    n_failed = len(config.sweep_epsilons) - len(good)
+    if n_failed:
+        print(f"{n_failed} sweep point(s) failed", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
-
-
-def _metric_keys(config: RunConfig) -> list:
-    if config.sweep_kind == "mode_drift":
-        return ["drift_poisson", "drift_monge_ampere", "excess_drift"]
-    return [
-        "sup_modulated",
-        "sup_mismatch",
-        "sup_quasineutrality",
-        "final_current_error_divfree",
-    ]
-
-
-def _sweep_columns(config: RunConfig) -> list:
-    return ["epsilon"] + _metric_keys(config) + ["status"]
 
 
 def cmd_euler(args) -> int:

@@ -245,7 +245,7 @@ def match_discrete_maxwellian(
         step[:, 0] += np.einsum("ma,ma->m", step[:, 1 : 1 + d] + step[:, -1:] * u, u)
         step[:, 1 : 1 + d] += 2.0 * step[:, -1:] * u
         eta += step
-    if worst > rtol:
+    if not worst <= rtol:  # also when the residual is NaN
         bad = idx[int(np.argmax(np.abs(resid / scale).max(axis=1)))]
         raise CollisionMomentError(
             f"moment matching stalled at node {bad}; relative residual {worst:g}"

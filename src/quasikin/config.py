@@ -8,11 +8,15 @@ which is what epsilon sweeps use to keep initial states well prepared as
 epsilon shrinks.  ``v_max = auto`` sizes the velocity box from the bulk
 flow and temperature so the Gaussian tails stay below quadrature accuracy.
 
-A RunConfig holds only what a scenario adds to SimulationParams: the
-schedules, the automatic velocity box and the sweep.  Every check of a run
-lives in SimulationParams, which checks itself when built; load_config
-builds it at the scenario's epsilon and at every sweep epsilon, so an
-infeasible sweep member fails when the file is loaded, before any run.
+KEYS below is the one statement of the format: each key, the field it sets
+and its parser.  A key the file leaves out is not passed, so the defaults
+live only on SimulationParams, CollisionConfig and WellPreparedIC; SWEEPS
+names each sweep kind and its convergence.csv columns.  A RunConfig holds
+only what a scenario adds to SimulationParams: the schedules, the automatic
+velocity box and the sweep.  Every check of a run lives in SimulationParams,
+which checks itself when built; load_config builds it at the scenario's
+epsilon and at every sweep epsilon, so an infeasible sweep member fails
+when the file is loaded, before any run.
 """
 
 from __future__ import annotations
@@ -32,21 +36,59 @@ from .vlasov import SimulationParams, WellPreparedIC
 AUTO_V_MARGIN = 0.2
 AUTO_V_SIGMAS = 7.0
 
-SWEEP_KINDS = ("quasineutral", "mode_drift")
 
-# Every key the parser reads, per section; anything else is rejected.
-SECTION_KEYS = {
-    "run": (
-        "name", "dimension", "n_x", "n_v", "epsilon", "dt", "t_end",
-        "field_mode", "v_max", "a_max", "snapshot_stride", "euler_reference",
+def _bool(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+
+
+def _epsilon_list(raw: str) -> tuple:
+    values = tuple(float(tok) for tok in raw.replace(",", " ").split())
+    if not values:
+        raise ValueError(raw)
+    return values
+
+
+# Section -> key -> (field it sets, parser, required).  Keys are read, and
+# listed in messages, in this order.
+KEYS = {
+    "run": {
+        "name": ("name", str, False),
+        "dimension": ("dimension", int, True),
+        "n_x": ("n_x", int, True),
+        "n_v": ("n_v", int, True),
+        "epsilon": ("epsilon", float, True),
+        "dt": ("dt", float, True),
+        "t_end": ("t_end", float, True),
+        "field_mode": ("field_mode", str, False),
+        "v_max": ("v_max", str, False),
+        "a_max": ("a_max_estimate", float, False),
+        "snapshot_stride": ("snapshot_stride", int, False),
+        "euler_reference": ("euler_reference", _bool, False),
+    },
+    "collision": {"kind": ("kind", str, False), "tau": ("tau", float, False)},
+    "initial": {
+        "u0": ("u0_kind", str, False),
+        "u0_amplitude": ("u0_amplitude", float, False),
+        "profile": ("profile", str, False),
+        "delta": ("delta", float, False),
+        "delta_coeff": ("delta_coeff", float, False),
+        "delta_exponent": ("delta_exponent", float, False),
+        "theta": ("theta", float, False),
+        "theta_coeff": ("theta_coeff", float, False),
+        "theta_exponent": ("theta_exponent", float, False),
+        "seed": ("seed", int, False),
+        "max_mode": ("max_mode", int, False),
+    },
+    "sweep": {"kind": ("kind", str, False), "epsilons": ("epsilons", _epsilon_list, True)},
+}
+
+# Sweep kind -> the metric columns of its convergence.csv; the first kind is
+# the default.
+SWEEPS = {
+    "quasineutral": (
+        "sup_modulated", "sup_mismatch", "sup_quasineutrality", "final_current_error_divfree",
     ),
-    "collision": ("kind", "tau"),
-    "initial": (
-        "u0", "u0_amplitude", "profile", "delta", "delta_coeff",
-        "delta_exponent", "theta", "theta_coeff", "theta_exponent", "seed",
-        "max_mode",
-    ),
-    "sweep": ("kind", "epsilons"),
+    "mode_drift": ("drift_poisson", "drift_monge_ampere", "excess_drift"),
 }
 
 
@@ -73,12 +115,12 @@ class RunConfig:
     run_fields: dict  # SimulationParams keywords that do not depend on epsilon
     ic: WellPreparedIC  # delta and theta come from the schedules
     epsilon: float
-    delta: Schedule = Schedule(0.0)
-    theta: Schedule = Schedule(1.0)
-    v_max: float | None = None  # None -> sized automatically
-    sweep_epsilons: tuple = ()
-    sweep_kind: str = "quasineutral"
-    source_sha256: str = ""
+    delta: Schedule
+    theta: Schedule
+    v_max: float | None  # None -> sized automatically
+    sweep_epsilons: tuple
+    sweep_kind: str
+    source_sha256: str
 
     def make_params(self, epsilon: float | None = None, field_mode: str | None = None) -> SimulationParams:
         """The checked params at ``epsilon`` (default: the scenario's)."""
@@ -96,52 +138,41 @@ class RunConfig:
             raise ConfigError(f"scenario {self.name!r}: {exc}") from exc
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default=None, required: bool = False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+def _read(parser: configparser.ConfigParser, section: str) -> dict:
+    """Field -> value for the keys ``section`` gives, in KEYS order."""
+    fields = {}
+    if not parser.has_section(section):
+        return fields
+    for key, (field, parse, required) in KEYS[section].items():
+        if not parser.has_option(section, key):
+            if required:
+                raise ConfigError(f"missing required key [{section}] {key}")
+            continue
+        raw = parser.get(section, key)
+        try:
+            fields[field] = parse(raw)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    return fields
 
 
-def _bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "yes", "true", "on"):
-        return True
-    if lowered in ("0", "no", "false", "off"):
-        return False
-    raise ValueError(raw)
+def _schedule(initial: dict, key: str) -> Schedule:
+    """Literal `key = x` or power law `key_coeff = c` + `key_exponent = p`.
 
-
-def _schedule(parser: configparser.ConfigParser, section: str, key: str, default: float) -> Schedule:
-    """Literal `key = x` or power law `key_coeff = c` + `key_exponent = p`."""
-    literal = parser.has_option(section, key)
-    coeff = parser.has_option(section, f"{key}_coeff")
-    expo = parser.has_option(section, f"{key}_exponent")
-    if literal and (coeff or expo):
+    Takes the keys out of ``initial``.  A lone coeff or exponent takes 1 for
+    the other; with no key the literal is WellPreparedIC's default.
+    """
+    literal = initial.pop(key, None)
+    coeff = initial.pop(f"{key}_coeff", None)
+    expo = initial.pop(f"{key}_exponent", None)
+    if coeff is None and expo is None:
+        return Schedule(getattr(WellPreparedIC, key) if literal is None else literal)
+    if literal is not None:
         raise ConfigError(
-            f"[{section}] {key}: give either a literal value or a "
+            f"[initial] {key}: give either a literal value or a "
             f"{key}_coeff/{key}_exponent schedule, not both"
         )
-    if literal:
-        return Schedule(_get(parser, section, key, float))
-    if coeff or expo:
-        return Schedule(
-            _get(parser, section, f"{key}_coeff", float, default=1.0),
-            _get(parser, section, f"{key}_exponent", float, default=1.0),
-        )
-    return Schedule(default)
-
-
-def _epsilon_list(raw: str) -> tuple:
-    values = tuple(float(tok) for tok in raw.replace(",", " ").split())
-    if not values:
-        raise ValueError(raw)
-    return values
+    return Schedule(1.0 if coeff is None else coeff, 1.0 if expo is None else expo)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -158,68 +189,41 @@ def load_config(path: str | Path) -> RunConfig:
     if not parser.has_section("run"):
         raise ConfigError(f"{path}: missing [run] section")
 
-    unknown = set(parser.sections()) - set(SECTION_KEYS)
+    unknown = set(parser.sections()) - set(KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
 
-    collision = CollisionConfig()
-    if parser.has_section("collision"):
-        try:
-            collision = CollisionConfig(
-                kind=_get(parser, "collision", "kind", str, default="none"),
-                tau=_get(parser, "collision", "tau", float, default=0.1),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        collision = CollisionConfig(**_read(parser, "collision"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
-    ic = WellPreparedIC()
-    delta, theta = Schedule(0.0), Schedule(1.0)
-    if parser.has_section("initial"):
-        ic = WellPreparedIC(
-            u0_kind=_get(parser, "initial", "u0", str, default="zero"),
-            u0_amplitude=_get(parser, "initial", "u0_amplitude", float, default=0.0),
-            profile=_get(parser, "initial", "profile", str, default="cosine_x"),
-            seed=_get(parser, "initial", "seed", int, default=0),
-            max_mode=_get(parser, "initial", "max_mode", int, default=3),
-        )
-        delta = _schedule(parser, "initial", "delta", 0.0)
-        theta = _schedule(parser, "initial", "theta", 1.0)
+    initial = _read(parser, "initial")
+    delta = _schedule(initial, "delta")
+    theta = _schedule(initial, "theta")
 
-    sweep_epsilons: tuple = ()
-    sweep_kind = "quasineutral"
-    if parser.has_section("sweep"):
-        sweep_epsilons = _get(parser, "sweep", "epsilons", _epsilon_list, required=True)
-        sweep_kind = _get(parser, "sweep", "kind", str, default="quasineutral")
-        if sweep_kind not in SWEEP_KINDS:
-            raise ConfigError(f"{path}: unknown sweep kind {sweep_kind!r}")
-        if any(e <= 0 for e in sweep_epsilons):
-            raise ConfigError(f"{path}: sweep epsilons must be positive")
+    sweep = _read(parser, "sweep")
+    sweep_kind = sweep.get("kind", next(iter(SWEEPS)))
+    if sweep_kind not in SWEEPS:
+        raise ConfigError(f"{path}: unknown sweep kind {sweep_kind!r}")
+    sweep_epsilons = sweep.get("epsilons", ())
+    if any(e <= 0 for e in sweep_epsilons):
+        raise ConfigError(f"{path}: sweep epsilons must be positive")
 
-    v_max_raw = _get(parser, "run", "v_max", str, default="auto")
-    if v_max_raw.strip().lower() == "auto":
-        v_max = None
-    else:
-        try:
-            v_max = float(v_max_raw)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad v_max {v_max_raw!r}") from exc
+    run = _read(parser, "run")
+    v_max = run.pop("v_max", "auto")
+    try:
+        v_max = None if v_max.strip().lower() == "auto" else float(v_max)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad v_max {v_max!r}") from exc
+    name = run.pop("name", path.stem)
+    epsilon = run.pop("epsilon")
 
     config = RunConfig(
-        name=_get(parser, "run", "name", str, default=path.stem),
-        run_fields=dict(
-            dimension=_get(parser, "run", "dimension", int, required=True),
-            n_x=_get(parser, "run", "n_x", int, required=True),
-            n_v=_get(parser, "run", "n_v", int, required=True),
-            dt=_get(parser, "run", "dt", float, required=True),
-            t_end=_get(parser, "run", "t_end", float, required=True),
-            field_mode=_get(parser, "run", "field_mode", str, default="monge_ampere"),
-            collision=collision,
-            a_max_estimate=_get(parser, "run", "a_max", float, default=1.0),
-            snapshot_stride=_get(parser, "run", "snapshot_stride", int, default=0),
-            euler_reference=_get(parser, "run", "euler_reference", _bool, default=False),
-        ),
-        ic=ic,
-        epsilon=_get(parser, "run", "epsilon", float, required=True),
+        name=name,
+        run_fields={**run, "collision": collision},
+        ic=WellPreparedIC(**initial),
+        epsilon=epsilon,
         delta=delta,
         theta=theta,
         v_max=v_max,
@@ -230,7 +234,7 @@ def load_config(path: str | Path) -> RunConfig:
     # Checked after the required keys, so a misspelt required key is
     # reported as missing.
     for section in parser.sections():
-        allowed = SECTION_KEYS[section]
+        allowed = KEYS[section]
         unknown = sorted(set(parser.options(section)) - set(allowed))
         if unknown:
             raise ConfigError(

@@ -16,10 +16,13 @@ import numpy as np
 import pytest
 
 import quasikin
+import quasikin.cli
 from quasikin.cli import main
+from quasikin.collision import CollisionConfig
 from quasikin.config import ConfigError, Schedule, load_config
 from quasikin.grids import TorusGrid
 from quasikin.diagnostics import DiagnosticsRecord
+from quasikin.vlasov import SimulationParams
 
 TINY = """\
 [run]
@@ -138,6 +141,18 @@ class TestConfig:
         assert params.ic.delta == pytest.approx(0.16)
         assert params.ic.theta == pytest.approx(0.4)
         assert params.v_max == pytest.approx(0.1 + 7.0 * np.sqrt(0.4) + 0.2)
+
+    def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
+        required = "[run]\ndimension = 1\nn_x = 16\nn_v = 32\nepsilon = 0.5\ndt = 5e-3\nt_end = 0.05\n"
+        path = tmp_path / "bare.cfg"
+        path.write_text(required + "v_max = 6.5\n")
+        config = load_config(path)
+        assert config.name == "bare"
+        assert config.make_params() == SimulationParams(
+            dimension=1, n_x=16, n_v=32, v_max=6.5, epsilon=0.5, dt=5e-3, t_end=0.05
+        )
+        path.write_text(required + "\n[collision]\nkind = bgk\n")
+        assert load_config(path).make_params().collision.tau == CollisionConfig().tau
 
     def test_schedule_forms(self):
         assert Schedule(0.3)(0.1) == 0.3
@@ -374,6 +389,29 @@ class TestSweepVerb:
         assert "configuration error" in err and "cannot contain the state" in err
         assert not out.exists()  # no member directory either
 
+    def test_failed_member_is_marked_and_the_others_finish(self, tmp_path, monkeypatch, capsys):
+        real_run = quasikin.cli.run
+
+        def run_failing_at_0_4(params):
+            if params.epsilon == 0.4:
+                raise RuntimeError("solver diverged")
+            return real_run(params)
+
+        monkeypatch.setattr(quasikin.cli, "run", run_failing_at_0_4)
+        path = tmp_path / "sweep.cfg"
+        path.write_text(TINY_SWEEP)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--output", str(out)]) == 3
+        lines = (out / "convergence.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[1] == "0.40000000000000002,,,,,failed"  # %.17g, like every cell
+        assert lines[2].startswith("0.20000000000000001,") and lines[2].endswith(",ok")
+        err = capsys.readouterr().err
+        assert "sweep eps_0.4 FAILED: solver diverged" in err
+        assert "1 sweep point(s) failed" in err
+        assert (out / "eps_0.2" / "diagnostics.csv").is_file()
+        assert json.loads((out / "slopes.json").read_text())["quasineutrality_slope"] is None
+
     def test_sweepless_scenario_exits_2(self, tiny_cfg, tmp_path, capsys):
         code = main(["sweep", "--config", str(tiny_cfg),
                      "--output", str(tmp_path / "o")])
@@ -534,7 +572,7 @@ def _pools_after_import(prelude: str = "", **env_overrides) -> dict:
     """The pool variables a fresh interpreter holds once quasikin.cli is
     loaded, after running the statements in ``prelude``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k not in POOL_VARIABLES + ("QUASIKIN_THREADS",)}
+    env = {k: v for k, v in os.environ.items() if k not in POOL_VARIABLES}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_overrides)
     probe = prelude + (
@@ -559,9 +597,7 @@ def test_import_needs_no_cpu_affinity_query():
 
 
 def test_explicit_thread_settings_win():
-    pools = _pools_after_import(QUASIKIN_THREADS="1")
-    assert pools == dict.fromkeys(POOL_VARIABLES, "1")
-    pools = _pools_after_import(QUASIKIN_THREADS="1", OPENBLAS_NUM_THREADS="3")
-    assert pools == {**dict.fromkeys(POOL_VARIABLES, "1"), "OPENBLAS_NUM_THREADS": "3"}
     pools = _pools_after_import(OPENBLAS_NUM_THREADS="2")
     assert pools == {**dict.fromkeys(POOL_VARIABLES, "1"), "OPENBLAS_NUM_THREADS": "2"}
+    pools = _pools_after_import(OMP_NUM_THREADS="3", MKL_NUM_THREADS="2")
+    assert pools == {**dict.fromkeys(POOL_VARIABLES, "1"), "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"}

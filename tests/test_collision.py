@@ -146,6 +146,21 @@ class TestDiscreteMaxwellianMatching:
                 v_grid, np.array([-0.2]), np.array([[0.0]]), np.array([0.1])
             )
 
+    def test_rejects_a_non_finite_match(self):
+        # A near-delta state whose Newton iterates overflow: the residual
+        # turns NaN, and a NaN residual must fail the final test too.
+        v_grid = VelocityGrid(1, 64, 5.0)
+        vals = np.zeros((4, 64))
+        vals[:, 40], vals[:, 41] = 1.0, 0.01
+        f = PhaseField(TorusGrid(1, 4), v_grid, vals)
+        macro = moments(f)
+        with np.errstate(all="ignore"), pytest.raises(CollisionMomentError, match="stalled at node 0"):
+            match_discrete_maxwellian(
+                v_grid, macro.rho, macro.current.T, 2.0 * macro.e_kin
+            )
+        with np.errstate(all="ignore"), pytest.raises(CollisionMomentError, match="residual nan"):
+            bgk_collide(f, tau=0.1, dt=0.05)
+
 
 class TestBgkRelaxation:
     def setup_method(self):

@@ -3,9 +3,9 @@
 The velocity kick applies its spline operator as a BLAS matrix product, the
 velocity moments are matrix products against a feature matrix, and the BGK
 match solves its batched Newton systems with LAPACK; a threaded BLAS may
-split a product among threads.  A run at QUASIKIN_THREADS=1 and one at
-QUASIKIN_THREADS=2 must still write byte-identical diagnostics, for a 2-d
-and a 1-d scenario with BGK.  The runs are separate processes because the
+split a product among threads.  A run with every pool at one thread and one
+with every pool at two must still write byte-identical diagnostics, for a
+2-d and a 1-d scenario with BGK.  The runs are separate processes because the
 pools are sized when numpy is first loaded.
 """
 
@@ -79,7 +79,7 @@ POOL_VARIABLES = (
 
 def _simulate(config: Path, out: Path, threads: int) -> bytes:
     env = {k: v for k, v in os.environ.items() if k not in POOL_VARIABLES}
-    env["QUASIKIN_THREADS"] = str(threads)
+    env.update(dict.fromkeys(POOL_VARIABLES, str(threads)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, "-m", "quasikin.cli", "simulate",
