@@ -145,14 +145,19 @@ class TestConfig:
     def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
         required = "[run]\ndimension = 1\nn_x = 16\nn_v = 32\nepsilon = 0.5\ndt = 5e-3\nt_end = 0.05\n"
         path = tmp_path / "bare.cfg"
-        path.write_text(required + "v_max = 6.5\n")
+        path.write_text(required + "v_max = 6.5\n\n[sweep]\nepsilons = 0.5\n")
         config = load_config(path)
         assert config.name == "bare"
+        assert config.sweep_kind == "quasineutral"
         assert config.make_params() == SimulationParams(
             dimension=1, n_x=16, n_v=32, v_max=6.5, epsilon=0.5, dt=5e-3, t_end=0.05
         )
         path.write_text(required + "\n[collision]\nkind = bgk\n")
         assert load_config(path).make_params().collision.tau == CollisionConfig().tau
+        # A lone schedule coefficient or exponent takes 1 for the other.
+        path.write_text(required + "\n[initial]\ndelta_exponent = 2\ntheta_coeff = 0.5\n")
+        ic = load_config(path).make_params().ic
+        assert (ic.delta, ic.theta) == (0.25, 0.25)
 
     def test_schedule_forms(self):
         assert Schedule(0.3)(0.1) == 0.3
