@@ -51,6 +51,7 @@ __all__ = [
 
 DIRECT_MAX_NV = 32
 DIRECT_SCRATCH_BYTES = 64 << 20  # bytes of the direct quadrature's gain per node block
+ROUNDING_RESIDUAL = 8.0 * np.finfo(float).eps  # a match's residual at rounding level
 
 
 class CollisionMomentError(RuntimeError):
@@ -62,7 +63,7 @@ class CollisionConfig:
     """Collision model selection.
 
     kind : "none", "bgk", or "direct"
-    tau : BGK relaxation time (> 0)
+    tau : BGK relaxation time (> 0 and finite)
     gamma : kernel exponent, b ~ |xi - xi1|^gamma (hard sphere: 1)
     n_sigma : angular quadrature points on the admissible half circle
     """
@@ -75,8 +76,8 @@ class CollisionConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "bgk", "direct"):
             raise ValueError(f"unknown collision kind {self.kind!r}")
-        if self.kind == "bgk" and not (self.tau > 0.0):
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.kind == "bgk" and not 0.0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not 0.0 <= self.gamma < np.inf:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
         if self.n_sigma < 8 or self.n_sigma % 2 != 0:
@@ -181,20 +182,21 @@ def match_discrete_maxwellian(
     energy2 = np.asarray(energy2, dtype=float)
     m = len(rho)
 
-    active = rho > 0.0
-    if np.any(rho < 0.0):
-        node = int(np.argmin(rho))
-        raise CollisionMomentError(f"negative density at node {node}: {rho[node]:g}")
-    if not np.any(active):
-        return np.zeros((m,) + v_grid.shape)
-    idx = np.nonzero(active)[0]
-    r = rho[idx]
-    j = current[idx]
-    e2 = energy2[idx]
+    if m and np.minimum.reduce(rho) > 0.0:  # every node has mass: no gathers
+        idx, r, j, e2 = range(m), rho, current, energy2
+    else:
+        if np.any(rho < 0.0):
+            node = int(np.argmin(rho))
+            raise CollisionMomentError(f"negative density at node {node}: {rho[node]:g}")
+        active = rho > 0.0
+        if not np.any(active):
+            return np.zeros((m,) + v_grid.shape)
+        idx = np.nonzero(active)[0]
+        r, j, e2 = rho[idx], current[idx], energy2[idx]
 
     u = j / r[:, None]
-    theta = (e2 / r - (u**2).sum(axis=1)) / d
-    if np.any(theta <= 0.0):
+    theta = (e2 / r - np.add.reduce(u**2, axis=1)) / d
+    if np.fmin.reduce(theta) <= 0.0:  # fmin skips NaN, as any(theta <= 0) does
         bad = idx[int(np.argmin(theta))]
         raise CollisionMomentError(
             f"non-realizable moments at node {bad}: inferred temperature <= 0"
@@ -210,14 +212,15 @@ def match_discrete_maxwellian(
     # the per-axis factors, each peaks near exp(log amplitude / d), so it
     # underflows only where M does.
     x = powers[1] - u[:, :, None]  # (m', d, n_v)
-    eta = np.zeros_like(targets)
+    eta = np.zeros(targets.shape)
     eta[:, 0] = np.log(r) - 0.5 * d * np.log(2.0 * np.pi * theta)
     eta[:, -1] = -0.5 / theta
 
     polished = False
-    for _ in range(max_iter):
+    for it in range(max_iter):
         g = eta[:, -1, None, None] * x
-        g += eta[:, 1 : 1 + d, None]
+        if it:  # eta_1..d start at 0, and adding 0 here changes no bit of M
+            g += eta[:, 1 : 1 + d, None]
         g *= x
         g += eta[:, :1, None] / d
         g = np.exp(g, out=g)  # (m', d, n_v)
@@ -227,10 +230,10 @@ def match_discrete_maxwellian(
             table = table[:, :, None] * sums[:, 1, None, :]  # (m', 5, 5)
         gram = (table.reshape(len(r), -1) @ _gram_map(d)).reshape(len(r), d + 2, d + 2)
         resid = gram[:, :, 0] - targets
-        worst = float(np.abs(resid / scale).max())
+        worst = float(np.maximum.reduce(np.abs(resid / scale), axis=None))
         # Past the test, one more step takes the residual to rounding level
         # (a few ulps), so M does not depend on where below rtol it passed.
-        if worst <= rtol and (polished or worst <= 8.0 * np.finfo(float).eps):
+        if worst <= rtol and (polished or worst <= ROUNDING_RESIDUAL):
             break
         polished = worst <= rtol
         try:
@@ -242,7 +245,7 @@ def match_discrete_maxwellian(
         step /= np.maximum(1.0, np.abs(step[:, -1:]) / (-0.5 * eta[:, -1:]))
         # The step is in the multipliers of (1, xi, |xi|^2); in x = xi - u
         # it reads (s_0 + s . u + s_{d+1} |u|^2, s + 2 s_{d+1} u, s_{d+1}).
-        step[:, 0] += np.einsum("ma,ma->m", step[:, 1 : 1 + d] + step[:, -1:] * u, u)
+        step[:, 0] += np.add.reduce((step[:, 1 : 1 + d] + step[:, -1:] * u) * u, axis=1)
         step[:, 1 : 1 + d] += 2.0 * step[:, -1:] * u
         eta += step
     if not worst <= rtol:  # also when the residual is NaN
@@ -250,9 +253,10 @@ def match_discrete_maxwellian(
         raise CollisionMomentError(
             f"moment matching stalled at node {bad}; relative residual {worst:g}"
         )
-    # Zero factors at the rho = 0 nodes give their zero function.
-    factors = np.zeros((m, d, v_grid.n_v))
-    factors[idx] = g
+    factors = g
+    if len(r) < m:  # zero factors at the rho = 0 nodes give their zero function
+        factors = np.zeros((m, d, v_grid.n_v))
+        factors[idx] = g
     if d == 1:
         return factors[:, 0]
     return factors[:, 0, :, None] * factors[:, 1, None, :]
@@ -264,16 +268,16 @@ def bgk_collide(f: PhaseField, tau: float, dt: float) -> PhaseField:
     discrete invariants to the Maxwellian matching tolerance, preserves
     positivity for any dt, and does not increase sum f log f.
     """
-    if not (tau > 0.0):
-        raise ValueError(f"tau must be positive, got {tau}")
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if not 0.0 <= dt < np.inf:
+        raise ValueError(f"dt must be nonnegative and finite, got {dt}")
     macro = moments(f)
-    d = f.dimension
+    d = f.x_grid.dimension
     spatial = f.x_grid.shape
-    m = int(np.prod(spatial))
+    m = macro.rho.size
     rho = macro.rho.reshape(m)
-    cur = np.stack([macro.current[a].reshape(m) for a in range(d)], axis=1)
+    cur = macro.current.reshape(d, m).T
     e2 = 2.0 * macro.e_kin.reshape(m)
     values = match_discrete_maxwellian(f.v_grid, rho, cur, e2)
     decay = float(np.exp(-dt / tau))

@@ -104,11 +104,12 @@ class DiagnosticsRecord:
     field_residual: float | None = None
 
     def __post_init__(self) -> None:
-        for item in fields(self):
+        # A sum of finite cells is finite unless it overflows, so one pass
+        # clears a finite record; only a non-finite sum searches the fields.
+        total = sum([0.0 if cell is None else cell for cell in self._cells()])
+        for item in () if math.isfinite(total) else fields(self):
             value = getattr(self, item.name)
-            if value is None:
-                continue
-            parts = value if item.name == "momentum" else (value,)
+            parts = () if value is None else value if item.name == "momentum" else (value,)
             if not all(map(math.isfinite, parts)):
                 raise ValueError(f"non-finite {item.name} = {value!r} at t = {self.t!r}")
         scale = max(1.0, abs(self.e_total))
@@ -120,9 +121,9 @@ class DiagnosticsRecord:
                 f"{self.modulated:g}; state is corrupted"
             )
 
-    def to_csv_row(self) -> str:
+    def _cells(self) -> tuple:  # the CSV row's values, in CSV_COLUMNS order
         momentum_y = self.momentum[1] if len(self.momentum) > 1 else None
-        cells = (
+        return (
             self.t,
             self.mass,
             self.momentum[0],
@@ -139,7 +140,9 @@ class DiagnosticsRecord:
             self.newton_iters,
             self.field_residual,
         )
-        return ",".join(format_cell(c) for c in cells)
+
+    def to_csv_row(self) -> str:
+        return ",".join(format_cell(c) for c in self._cells())
 
     @staticmethod
     def csv_header() -> str:
@@ -161,7 +164,7 @@ def field_energy(potential: Potential | None) -> float:
     """(eps^2 / 2) integral of |grad phi|^2; zero for a missing field."""
     if potential is None:
         return 0.0
-    g2 = (potential.grad**2).sum(axis=0)
+    g2 = np.add.reduce(potential.grad**2, axis=0)
     return 0.5 * potential.epsilon**2 * grid_integral(potential.grid, g2)
 
 
@@ -175,20 +178,20 @@ def modulated_energy(
     phase-space sum up to roundoff; `quasikin check` and the test suite
     compare the two on random states.
     """
-    d = f.dimension
+    d = f.x_grid.dimension
     u = np.asarray(reference_velocity, dtype=float)
     if u.shape != (d,) + f.x_grid.shape:
         raise GridMismatchError(
             f"reference velocity shape {u.shape} != {(d,) + f.x_grid.shape}"
         )
     macro = moments(f)
-    cross = sum(
-        grid_integral(f.x_grid, macro.current[a] * u[a]) for a in range(d)
-    )
+    cross = 0  # summed as sum() would, without a generator's calls
+    for a in range(d):
+        cross += grid_integral(f.x_grid, macro.current[a] * u[a])
     expanded = (
         grid_integral(f.x_grid, macro.e_kin)
         - cross
-        + 0.5 * grid_integral(f.x_grid, macro.rho * (u**2).sum(axis=0))
+        + 0.5 * grid_integral(f.x_grid, macro.rho * np.add.reduce(u**2, axis=0))
     )
     return expanded + field_energy(potential)
 
@@ -200,6 +203,8 @@ def modulated_energy(
 
 def _weighted_current_density(rho, gap_sq, label: str):
     """|gap|^2 / (2 rho) with vacuum-node policy shared by h and K."""
+    if np.minimum.reduce(rho, axis=None) > RHO_FLOOR:  # no vacuum node
+        return gap_sq / (2.0 * rho)
     mask = rho > RHO_FLOOR
     bad = (~mask) & (gap_sq > CURRENT_AT_VACUUM**2)
     if np.any(bad):
@@ -221,8 +226,8 @@ def h_functional(macro: MacroFields, reference_velocity) -> float:
         raise GridMismatchError(
             f"reference velocity shape {u.shape} != {(d,) + grid.shape}"
         )
-    gap_sq = np.zeros(grid.shape)
-    for a in range(d):
+    gap_sq = (macro.current[0] - macro.rho * u[0]) ** 2
+    for a in range(1, d):
         gap_sq += (macro.current[a] - macro.rho * u[a]) ** 2
     return grid_integral(grid, _weighted_current_density(macro.rho, gap_sq, "h"))
 
@@ -235,10 +240,10 @@ def quasineutrality_norm(grid: TorusGrid, rho: np.ndarray) -> float:
     """
     if rho.shape != grid.shape:
         raise GridMismatchError(f"density shape {rho.shape} != {grid.shape}")
-    r0 = rho - rho.mean()
-    power = -float((r0 * inverse_laplacian_zero_mean(grid, r0)).mean())
+    r0 = rho - float(np.add.reduce(rho, axis=None)) / rho.size
+    power = -(float(np.add.reduce(r0 * inverse_laplacian_zero_mean(grid, r0), axis=None)) / r0.size)
     # -Lap^{-1} is positive semi-definite; the clamp only guards roundoff.
-    return float(np.sqrt(max(0.0, power)))
+    return float(np.sqrt(power if power > 0.0 else 0.0))
 
 
 def _time_quadrature(times: np.ndarray, samples: np.ndarray) -> float:
@@ -302,7 +307,7 @@ def current_error(grid: TorusGrid, current, euler_velocity, mode: str) -> float:
     not expected to converge pointwise).
     """
     d = grid.dimension
-    j = np.stack([np.asarray(c, dtype=float) for c in current])
+    j = np.asarray(current, dtype=float)
     u = np.asarray(euler_velocity, dtype=float)
     if j.shape != (d,) + grid.shape or u.shape != (d,) + grid.shape:
         raise GridMismatchError("current/velocity shapes do not match the grid")
@@ -333,7 +338,7 @@ def build_record(
     energy) and the current-error cells stay empty.
     """
     grid = f.x_grid
-    d = f.dimension
+    d = grid.dimension
     u = (
         np.zeros((d,) + grid.shape)
         if euler_velocity is None
@@ -341,7 +346,7 @@ def build_record(
     )
     e_kin = grid_integral(grid, macro.e_kin)
     e_fld = field_energy(potential)
-    momentum = tuple(grid_integral(grid, macro.current[a]) for a in range(d))
+    momentum = tuple([grid_integral(grid, c) for c in macro.current])
     record = DiagnosticsRecord(
         t=f.time,
         mass=grid_integral(grid, macro.rho),

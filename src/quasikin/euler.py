@@ -94,7 +94,7 @@ def leray_project(grid: TorusGrid, v: np.ndarray) -> np.ndarray:
     """
     v = _check_velocity(grid, v)
     if grid.dimension == 1:
-        return np.full_like(v, v.mean())
+        return np.full(v.shape, np.add.reduce(v, axis=None) / v.size)
     div = spectral_divergence(grid, v)
     potential = inverse_laplacian_zero_mean(grid, div)
     return v - spectral_gradient(grid, potential)
@@ -129,7 +129,7 @@ class EulerState:
     def __post_init__(self) -> None:
         self.u = _check_velocity(self.grid, self.u)
         div = spectral_divergence(self.grid, self.u)
-        worst = float(np.abs(div).max())
+        worst = float(np.maximum.reduce(np.abs(div), axis=None))
         if worst > DIVERGENCE_TOLERANCE:
             raise ValueError(f"velocity is not divergence-free: max |div u| = {worst:g}")
 
@@ -141,7 +141,7 @@ class EulerState:
         return cls(grid, leray_project(grid, u), time)
 
     def max_speed(self) -> float:
-        return float(np.sqrt((self.u**2).sum(axis=0)).max())
+        return float(np.maximum.reduce(np.sqrt(np.add.reduce(self.u**2, axis=0)), axis=None))
 
 
 def kinetic_energy(state: EulerState) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -85,15 +85,16 @@ class TorusGrid:
         if self.n_x < 4 or self.n_x % 2 != 0:
             raise ValueError(f"n_x must be even and >= 4, got {self.n_x}")
 
-    @property
+    # Cached on the instance, so after the first read they cost no call.
+    @cached_property
     def h_x(self) -> float:
         return 1.0 / self.n_x
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.n_x,) * self.dimension
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.h_x**self.dimension
 
@@ -145,15 +146,15 @@ class VelocityGrid:
         if not (self.v_max > 0.0):
             raise ValueError(f"v_max must be positive, got {self.v_max}")
 
-    @property
+    @cached_property
     def h_v(self) -> float:
         return 2.0 * self.v_max / self.n_v
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.n_v,) * self.dimension
 
-    @property
+    @cached_property
     def weight(self) -> float:
         """Quadrature weight per node (midpoint rule)."""
         return self.h_v**self.dimension
@@ -252,9 +253,9 @@ def _feature_moments(f: PhaseField, columns: slice) -> np.ndarray:
     on one thread.
     """
     feats = _feature_matrix(f.v_grid)[:, columns]
-    lead = f.x_grid.n_x if f.dimension == 2 else 1
+    d = f.x_grid.dimension
+    lead = f.x_grid.n_x if d == 2 else 1
     out = f.values.reshape(lead, -1, feats.shape[0]) @ feats
-    d = f.dimension
     return out.reshape(f.x_grid.shape + (feats.shape[1],)).transpose(d, *range(d))
 
 
@@ -265,21 +266,18 @@ def moments(f: PhaseField) -> MacroFields:
     J[j]    = sum_k xi_k f[j,k] h_v^d
     e_kin[j]= (1/2) sum_k |xi_k|^2 f[j,k] h_v^d
     """
-    d = f.dimension
+    d = f.x_grid.dimension
     m = _feature_moments(f, slice(0, d + 2))
-    # Separate arrays: a history that keeps rho keeps nothing else.
-    return MacroFields(f.x_grid, m[0].copy(), m[1 : 1 + d].copy(), m[d + 1].copy())
+    return MacroFields(f.x_grid, m[0], m[1 : 1 + d], m[d + 1])
 
 
 def stress_moments(f: PhaseField) -> np.ndarray:
     """Second moments S_ab = sum_k xi_a xi_b f h_v^d, shape (d, d) + spatial."""
-    d = f.dimension
-    pairs = iter(_feature_moments(f, slice(d + 2, None)))
-    out = np.empty((d, d) + f.x_grid.shape)
-    for a in range(d):
-        for b in range(a, d):
-            out[a, b] = out[b, a] = next(pairs)
-    return out
+    d = f.x_grid.dimension
+    pairs = _feature_moments(f, slice(d + 2, None))
+    if d == 1:
+        return pairs[None]
+    return pairs[[[0, 1], [1, 2]]]  # (xx, xy, yy) into [[xx, xy], [xy, yy]]
 
 
 def maxwellian(v_grid: VelocityGrid, rho: float, u, theta: float) -> np.ndarray:
@@ -426,7 +424,7 @@ def inverse_laplacian_zero_mean(grid: TorusGrid, field: np.ndarray) -> np.ndarra
     Q ((Q^T f Q) * S) Q^T with S = -1/|2 pi k|^2 (0 at k = 0).
     """
     _check_spatial(grid, field)
-    mean = float(field.mean())
+    mean = float(np.add.reduce(field, axis=None)) / field.size
     if abs(mean) > 1e-10:
         raise ValueError(f"inverse Laplacian needs zero-mean input, got mean {mean:g}")
     ops = _spectral_operators(grid.n_x)
@@ -439,14 +437,14 @@ def inverse_laplacian_zero_mean(grid: TorusGrid, field: np.ndarray) -> np.ndarra
 
 def grid_integral(grid: TorusGrid, field: np.ndarray) -> float:
     _check_spatial(grid, field)
-    return float(field.sum()) * grid.cell_volume
+    return float(np.add.reduce(field, axis=None)) * grid.cell_volume
 
 
 def l2_norm(grid: TorusGrid, field: np.ndarray) -> float:
     """Discrete L^2(torus) norm; accepts component-stacked fields too."""
     if field.shape != grid.shape and field.shape[1:] != grid.shape:
         raise GridMismatchError(f"unexpected field shape {field.shape}")
-    return float(np.sqrt((field**2).sum() * grid.cell_volume))
+    return float(np.sqrt(np.add.reduce(field**2, axis=None) * grid.cell_volume))
 
 
 def random_bandlimited_field(

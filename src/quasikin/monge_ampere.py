@@ -90,7 +90,7 @@ class Potential:
     def __post_init__(self) -> None:
         if not (self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        self.phi = self.phi - self.phi.mean()
+        self.phi = self.phi - np.add.reduce(self.phi, axis=None) / self.phi.size
         self.grad = spectral_gradient(self.grid, self.phi)
         self.hess = spectral_hessian(self.grid, self.phi)
 
@@ -149,29 +149,28 @@ def determinant_of_potential(pot: Potential) -> np.ndarray:
     return _det_i_plus(pot.hess, pot.epsilon**2)
 
 
-def _check_density(rho: np.ndarray) -> None:
-    # Every comparison with NaN is false, so test finiteness first.
-    if not np.all(np.isfinite(rho)):
-        raise ValueError(
-            f"density must be finite; {int(np.count_nonzero(~np.isfinite(rho)))} "
-            "non-finite values"
-        )
-    if np.any(rho <= 0.0):
-        raise NonPositiveDensityError(
-            f"density must be strictly positive; min value {float(rho.min()):g}"
-        )
-    mean = float(rho.mean())
+def _check_density(rho: np.ndarray) -> float:
+    """Reject an inadmissible density; return its mean."""
+    # A NaN fails the first test and +inf the second, so one branch holds every defect.
+    low = float(np.minimum.reduce(rho, axis=None))
+    mean = float(np.add.reduce(rho, axis=None)) / rho.size
+    if not (low > 0.0 and mean < np.inf):
+        if not np.isfinite(rho).all():
+            raise ValueError(f"density must be finite; {np.count_nonzero(~np.isfinite(rho))} non-finite values")
+        if not low > 0.0:
+            raise NonPositiveDensityError(f"density must be strictly positive; min value {low:g}")
     if abs(mean - 1.0) > MASS_TOLERANCE:
         raise MassNotNormalizedError(
             f"density mean must equal 1 to within {MASS_TOLERANCE:g}; got {mean!r}"
         )
+    return mean
 
 
-def _poisson_solution(grid: TorusGrid, rho: np.ndarray, epsilon: float) -> np.ndarray:
+def _poisson_solution(grid: TorusGrid, rho: np.ndarray, epsilon: float, mean: float) -> np.ndarray:
     # The (<= 1e-8) mean defect permitted by the mass check is a
-    # discretization artifact with no solvable lift; strip it before
-    # inverting.
-    g = (rho - rho.mean()) / epsilon**2
+    # discretization artifact with no solvable lift; strip it (``mean`` is
+    # rho's) before inverting.
+    g = (rho - mean) / epsilon**2
     return inverse_laplacian_zero_mean(grid, g)
 
 
@@ -216,7 +215,7 @@ def _solve_newton_2d(
         hess = spectral_hessian(grid, phi)
         return _det_i_plus(hess, eps2) - rho, hess
 
-    phi = _poisson_solution(grid, rho, epsilon)
+    phi = _poisson_solution(grid, rho, epsilon, rho.mean())
     hess = spectral_hessian(grid, phi)
     if _min_eigenvalue(hess, eps2) < ELLIPTICITY_FLOOR:
         phi = np.zeros_like(rho)  # fall back to the flat guess, always elliptic
@@ -305,14 +304,14 @@ def solve_field(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if mode not in ("monge_ampere", "poisson"):
         raise ValueError(f"unknown field mode {mode!r}")
-    _check_density(rho)
+    mean = _check_density(rho)
 
     if mode == "poisson" or grid.dimension == 1:
         # In 1-d det(I + eps^2 phi'') = 1 + eps^2 phi'' is affine, so both
         # modes are solved in closed form by double spectral integration.
-        pot = Potential(grid, _poisson_solution(grid, rho, epsilon), epsilon)
-        lap = np.trace(pot.hess, axis1=0, axis2=1)
-        residual = float(np.abs(epsilon**2 * lap - (rho - 1.0)).max())
+        pot = Potential(grid, _poisson_solution(grid, rho, epsilon, mean), epsilon)
+        lap = pot.hess.trace()  # its diagonal's sum, as np.trace gives it
+        residual = float(np.maximum.reduce(np.abs(epsilon**2 * lap - (rho - 1.0)), axis=None))
         return pot, FieldSolveReport(mode, 0, residual)
 
     phi, report = _solve_newton_2d(grid, rho, epsilon)

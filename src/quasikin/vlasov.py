@@ -28,8 +28,8 @@ Velocity advection uses natural cubic splines.  Every row along a velocity
 axis shares one tridiagonal system, so the spline's second derivatives come
 from one cached dense operator; the shift is uniform along each row, so
 evaluating the spline is a 2-point stencil with per-row weights.  In 1-d
-the stencil is evaluated for one group of rows at a time, the rows that
-share a whole-cell shift.  In 2-d the shift of one spatial node's velocity
+the stencil is evaluated once for all rows, each keeping what its shift
+puts in the box.  In 2-d the shift of one spatial node's velocity
 slab along each axis is a fixed n x n matrix, so the kick is two small
 matrix products per node.  Per kick and axis, each node's 5 coefficients
 go into the columns of its whole-cell shift in one coefficient matrix, and
@@ -298,11 +298,11 @@ def _b3(t: np.ndarray) -> np.ndarray:
 
 def _clip_negative(values: np.ndarray, phase_volume: float) -> float:
     negative = values < 0.0
-    if not negative.any():
+    clipped = values[negative]
+    if not clipped.size:
         return 0.0
-    clipped = -float(values[negative].sum()) * phase_volume
     values[negative] = 0.0
-    return clipped
+    return -float(np.add.reduce(clipped)) * phase_volume
 
 
 @lru_cache(maxsize=16)
@@ -383,7 +383,7 @@ def advect_x(f: PhaseField, dt: float) -> tuple[PhaseField, float]:
     """
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
-    if f.dimension == 1:
+    if f.x_grid.dimension == 1:
         n_x = f.x_grid.n_x
         transfer = _stream_transfer(f.x_grid, f.v_grid, dt)
         spectrum = np.fft.rfft(f.values, axis=0)
@@ -391,7 +391,7 @@ def advect_x(f: PhaseField, dt: float) -> tuple[PhaseField, float]:
         values = np.fft.irfft(spectrum, n=n_x, axis=0)
     else:
         values = _stream_2d(f.values, _stream_operators(f.x_grid, f.v_grid, dt))
-    clipped = _clip_negative(values, f.phase_volume)
+    clipped = _clip_negative(values, f.x_grid.cell_volume * f.v_grid.weight)
     return PhaseField(f.x_grid, f.v_grid, values, f.time), clipped
 
 
@@ -440,10 +440,8 @@ def _shift_weights(
     """
     c = np.ceil(sigma)
     t = c - sigma
-    one_t = 1.0 - t
-    weights = np.stack(
-        [one_t, t, (h * h / 6.0) * (one_t**3 - one_t), (h * h / 6.0) * (t**3 - t)]
-    )
+    linear = np.array([1.0 - t, t])
+    weights = np.concatenate([linear, (h * h / 6.0) * (linear**3 - linear)])
     # Node n - 1 + c samples g = n - 1 + t, on the box edge when t = 0 and
     # rounded onto it when t is below half an ulp of n - 1: either way it
     # takes f[n - 1], as evaluating at the rounded g would.
@@ -518,40 +516,36 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
     Positions outside [0, n - 1] give 0 (outflow).  A zero shift reproduces
     the row bitwise.
 
-    The rows of each distinct c are gathered in blocks of equal size, each
-    of at most KICK_SCRATCH_BYTES and KICK_BLOCK_MULADDS: the block's M is
-    one matrix product, and its stencil is written to the group's output
-    nodes only.  Every other node of the group's rows stays 0, except the
-    edge node.
+    M is one matrix product per block of consecutive rows, each block of at
+    most KICK_SCRATCH_BYTES and KICK_BLOCK_MULADDS.  The stencil is then
+    evaluated once for every row and every offset k = j - c < n - 1, and
+    the rows of each distinct c copy the offsets that land in the box to
+    their output nodes.  Every other node stays 0, except the edge node.
     """
     n = values.shape[-1]
     curvature_t = _spline_curvature_operator(n, h).T
     c, weights, on_edge = _shift_weights(sigma, n, h)
-    out = np.zeros(values.shape)
     fit = KICK_SCRATCH_BYTES // (n * values.itemsize)
     block = max(1, min(fit, KICK_BLOCK_MULADDS // (n * n)))
-    for s in range(int(c.min()), int(c.max()) + 1):
-        group = np.flatnonzero(c == s)
-        if group.size == 0:
-            continue
+    blocks = -(-len(values) // block)  # the fewest that fit
+    step = -(-len(values) // blocks)  # rows in each, evened out
+    m = np.empty(values.shape)
+    for r0 in range(0, len(values), step):
+        np.matmul(values[r0 : r0 + step], curvature_t, out=m[r0 : r0 + step])
+    w = weights[:, :, None]
+    term = w[0] * values[:, :-1]
+    term += w[1] * values[:, 1:]
+    term += w[2] * m[:, :-1]
+    term += w[3] * m[:, 1:]
+    out = np.zeros(values.shape)
+    for s in range(int(np.minimum.reduce(c)), int(np.maximum.reduce(c)) + 1):
+        rows = (c == s).nonzero()[0]
         lo, hi = max(s, 0), min(n - 1 + s, n)  # output nodes inside the box
-        a, b = lo - s, hi - s
         if lo < hi:
-            blocks = -(-group.size // block)  # the fewest that fit
-            step = -(-group.size // blocks)  # rows in each, evened out
-            for r0 in range(0, group.size, step):
-                rows = group[r0 : r0 + step]
-                f = values[rows]
-                m = f @ curvature_t
-                w = weights[:, rows, None]
-                term = w[0] * f[:, a:b]
-                term += w[1] * f[:, a + 1 : b + 1]
-                term += w[2] * m[:, a:b]
-                term += w[3] * m[:, a + 1 : b + 1]
-                out[rows, lo:hi] = term
+            out[rows, lo:hi] = term[rows, lo - s : hi - s]
         edge = n - 1 + s
         if 0 <= edge < n:
-            rows = group[on_edge[group]]
+            rows = rows[on_edge[rows]]
             out[rows, edge] = values[rows, n - 1]
     return out
 
@@ -599,14 +593,14 @@ def advect_v(
     error, not a numerical one).  Returns the new field and the mass added
     by clipping overshoot.
     """
-    d = f.dimension
+    d = f.x_grid.dimension
     acceleration = np.asarray(acceleration, dtype=float)
     if acceleration.shape != (d,) + f.x_grid.shape:
         raise ValueError(
             f"acceleration shape {acceleration.shape} != {(d,) + f.x_grid.shape}"
         )
     span = 2.0 * f.v_grid.v_max
-    worst = float(np.abs(acceleration).max()) * abs(dt)
+    worst = float(np.maximum.reduce(np.abs(acceleration), axis=None)) * abs(dt)
     if not worst <= span:  # also rejects a non-finite field
         raise ValueError(
             f"velocity displacement {worst:g} exceeds the grid extent {span:g}; "
@@ -618,7 +612,7 @@ def advect_v(
         values = _kick_axis(f.values, sigma[0], h_v)
     else:
         values = _kick_2d(f.values, sigma, h_v)
-    clipped = _clip_negative(values, f.phase_volume)
+    clipped = _clip_negative(values, f.x_grid.cell_volume * f.v_grid.weight)
     return PhaseField(f.x_grid, f.v_grid, values, f.time), clipped
 
 

@@ -332,6 +332,8 @@ class TestSimulateVerb:
              "u0_amplitude must be finite"),
             ([("a_max = 0.5", "a_max = nan")], "a_max_estimate must be finite and >= 0"),
             ([("a_max = 0.5", "a_max = -1")], "a_max_estimate must be finite and >= 0"),
+            ([("tau = 0.1", "tau = inf")], "tau must be positive and finite"),
+            ([("tau = 0.1", "tau = 1e400")], "tau must be positive and finite"),
         ],
     )
     def test_non_finite_or_negative_value_exits_2_and_names_the_key(

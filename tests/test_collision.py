@@ -84,6 +84,8 @@ class TestCollisionConfig:
             {"kind": "landau"},
             {"kind": "bgk", "tau": 0.0},
             {"kind": "bgk", "tau": -1.0},
+            {"kind": "bgk", "tau": float("inf")},
+            {"kind": "bgk", "tau": float("nan")},
             {"kind": "direct", "n_sigma": 7},
             {"kind": "direct", "n_sigma": 4},
             {"kind": "direct", "gamma": -0.5},
@@ -145,6 +147,18 @@ class TestDiscreteMaxwellianMatching:
             match_discrete_maxwellian(
                 v_grid, np.array([-0.2]), np.array([[0.0]]), np.array([0.1])
             )
+
+    def test_empty_nodes_get_the_zero_function(self):
+        # A node without mass sends the match down its general path, which
+        # gathers the nodes with mass; they come out as without the empty one.
+        v_grid = VelocityGrid(1, 32, 5.0)
+        rho = np.array([1.2, 0.0, 0.7])
+        current = np.array([[0.3], [0.0], [-0.1]])
+        energy2 = np.array([0.9, 0.0, 0.5])
+        vals = match_discrete_maxwellian(v_grid, rho, current, energy2)
+        assert not vals[1].any()
+        alone = match_discrete_maxwellian(v_grid, rho[[0, 2]], current[[0, 2]], energy2[[0, 2]])
+        assert np.array_equal(vals[[0, 2]], alone)
 
     def test_rejects_a_non_finite_match(self):
         # A near-delta state whose Newton iterates overflow: the residual
@@ -214,6 +228,16 @@ class TestBgkRelaxation:
             bgk_collide(self.f, tau=0.0, dt=0.1)
         with pytest.raises(ValueError, match="dt"):
             bgk_collide(self.f, tau=0.1, dt=-0.1)
+
+    @pytest.mark.parametrize(
+        "tau, dt, name",
+        [(0.1, np.nan, "dt"), (0.1, np.inf, "dt"), (np.nan, 0.1, "tau"), (np.inf, 0.1, "tau")],
+    )
+    def test_rejects_non_finite_time_parameters(self, tau, dt, name):
+        # A NaN dt passes `dt < 0` and an infinite tau makes the update a
+        # no-op that still pays for the match; both are rejected up front.
+        with pytest.raises(ValueError, match=rf"{name} must be .* and finite"):
+            bgk_collide(self.f, tau=tau, dt=dt)
 
 
 class TestDirectQuadrature:

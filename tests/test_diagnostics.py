@@ -21,6 +21,7 @@ from quasikin.diagnostics import (
     CSV_COLUMNS,
     DegenerateDensityError,
     DiagnosticsRecord,
+    _weighted_current_density,
     build_record,
     current_error,
     field_energy,
@@ -160,6 +161,21 @@ class TestHFunctional:
         macro = MacroFields(grid, rho, current, np.zeros(grid.shape))
         with pytest.raises(DegenerateDensityError, match="node"):
             h_functional(macro, np.zeros((1,) + grid.shape))
+
+    def test_vacuum_path_agrees_with_the_path_for_nodes_with_mass(self):
+        # With every node above the floor the density is one division; an
+        # empty node sends it down the masked path, which must give the
+        # same values elsewhere, 0 at the node, and refuse current there.
+        rng = np.random.default_rng(3)
+        rho, gap_sq = rng.uniform(0.5, 1.5, 16), rng.random(16)
+        whole = _weighted_current_density(rho, gap_sq, "h")
+        rho[5], gap_sq[5] = 0.0, 0.0
+        masked = _weighted_current_density(rho, gap_sq, "h")
+        assert masked[5] == 0.0
+        assert np.array_equal(np.delete(masked, 5), np.delete(whole, 5))
+        gap_sq[5] = 1.0
+        with pytest.raises(DegenerateDensityError, match="h: density 0 at node"):
+            _weighted_current_density(rho, gap_sq, "h")
 
     def test_silent_vacuum_is_allowed(self):
         grid = TorusGrid(1, 8)
@@ -397,6 +413,13 @@ class TestDiagnosticsRecord:
             mass=np.float64(1.0), momentum=(np.float64(0.125), 0.0), newton_iters=3
         )
         assert record.momentum[1] == 0.0
+
+    def test_first_non_finite_field_is_named(self):
+        # Fields are searched in order once the cells' sum is non-finite.
+        with pytest.raises(ValueError, match=r"non-finite mass = nan at t = 0\.25"):
+            self.make_record(mass=np.nan, quasineutrality=np.inf, field_residual=-np.inf)
+        # Finite cells whose sum overflows are accepted.
+        assert self.make_record(clipped_mass=1e308, field_residual=1e308).clipped_mass == 1e308
 
     def test_nan_energies_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
