@@ -11,13 +11,18 @@ Exit codes: 0 success, 1 check-suite failure, 2 configuration/usage error,
 product on a shipped scenario's run path is big enough for OpenBLAS to
 thread, so a larger pool only costs start-up when numpy loads, and outputs
 do not depend on the pool size.  A pool's own variable, set before the
-interpreter first loads numpy, sizes that pool otherwise.
+interpreter first loads numpy, sizes that pool otherwise.  That start-up
+cost is OpenBLAS's idle workers busy-waiting (about 2^28 cycles) before
+they sleep, so OPENBLAS_THREAD_TIMEOUT defaults to 4, its minimum, and
+they sleep at once.  Each of these variables keeps a value set in the
+environment.
 """
 
 import os
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import argparse
 import json

@@ -259,7 +259,7 @@ def match_discrete_maxwellian(
         factors[idx] = g
     if d == 1:
         return factors[:, 0]
-    return factors[:, 0, :, None] * factors[:, 1, None, :]
+    return np.einsum("ni,nj->nij", factors[:, 0], factors[:, 1])
 
 def bgk_collide(f: PhaseField, tau: float, dt: float) -> PhaseField:
     """Exponential BGK update toward the discrete-moment-matched Maxwellian.

@@ -208,7 +208,7 @@ def _weighted_current_density(rho, gap_sq, label: str):
     mask = rho > RHO_FLOOR
     bad = (~mask) & (gap_sq > CURRENT_AT_VACUUM**2)
     if np.any(bad):
-        node = np.unravel_index(int(np.argmax(gap_sq * ~mask)), rho.shape)
+        node = tuple(int(i) for i in np.unravel_index(int(np.argmax(gap_sq * ~mask)), rho.shape))
         raise DegenerateDensityError(
             f"{label}: density {rho[node]:g} at node {node} carries current"
         )

@@ -20,9 +20,9 @@ only on the grid and the substep, so they are built once and cached.  A
 1-d state is shifted with real-to-complex FFTs.  In 2-d each velocity node
 (k1, k2) is updated as T_k1 f T_k2^T, computed as two passes of small
 matrix products, one per x-axis, each a row or slab of the state at a
-time.  The transfer is exactly 1 at k = 0, and each matrix's columns sum
-to 1 to roundoff, so spatial advection conserves the mass of every
-velocity slice to roundoff.
+time through reused buffers.  The transfer is exactly 1 at k = 0, and
+each matrix's columns sum to 1 to roundoff, so spatial advection
+conserves the mass of every velocity slice to roundoff.
 
 Velocity advection uses natural cubic splines.  Every row along a velocity
 axis shares one tridiagonal system, so the spline's second derivatives come
@@ -282,7 +282,7 @@ def make_initial_condition(
     node_mass = np.prod(factors.sum(axis=-1), axis=0) * v_grid.weight
     values = factors[0] * (rho0.reshape(-1) / node_mass)[:, None]
     if d == 2:
-        values = values[:, :, None] * factors[1][:, None, :]
+        values = np.einsum("ni,nj->nij", values, factors[1])
     return PhaseField(x_grid, v_grid, values.reshape(x_grid.shape + v_grid.shape), 0.0)
 
 
@@ -352,19 +352,28 @@ def _stream_2d(values: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Stream a 2-d state (x1, x2, v1, v2): each node (k1, k2) gets T_k1 f T_k2^T.
 
     Pass 1 shifts along x2, one x1 row at a time, with the operator of each
-    v2 node; pass 2 shifts along x1, one x2 slab at a time and in place,
-    with the operator of each v1 node.  Each pass copies its row or slab to
-    (velocity node, x, velocity node) order, so every product is a plain
-    stack of n_x x n_x GEMMs.
+    v2 node.  The row is copied with only its velocity axes swapped, to
+    (x2, v2, v1); in (v2, x2, v1) order that copy is a stack of x2 x v1
+    blocks with unit stride along v1, which the GEMMs read as they are and
+    write to a second buffer of the same layout, swapped back into the row.
+    Pass 2 shifts along x1, one x2 slab at a time, with the operator of each
+    v1 node.  The slab is copied to (v1, x1, v2) order, and the GEMMs write
+    the slab itself through its (v1, x1, v2) view.  The buffers are sized
+    once per call, so every product is a plain stack of n_x x n_x GEMMs.
     """
+    n1, n2, nv1, nv2 = values.shape
     out = np.empty(values.shape)
+    swapped = np.empty((n2, nv2, nv1))
+    product = np.empty((n2, nv2, nv1))
     for i, row in enumerate(values):
-        lines = np.ascontiguousarray(row.transpose(2, 0, 1))
-        out[i] = np.matmul(ops, lines).transpose(1, 2, 0)
-    for j in range(out.shape[1]):
+        swapped[...] = row.transpose(0, 2, 1)
+        np.matmul(ops, swapped.transpose(1, 0, 2), out=product.transpose(1, 0, 2))
+        out[i] = product.transpose(0, 2, 1)
+    lines = np.empty((nv1, n1, nv2))
+    for j in range(n2):
         slab = out[:, j]
-        lines = np.ascontiguousarray(slab.transpose(1, 0, 2))
-        slab[...] = np.matmul(ops, lines).transpose(1, 0, 2)
+        lines[...] = slab.transpose(1, 0, 2)
+        np.matmul(ops, lines, out=slab.transpose(1, 0, 2))
     return out
 
 

@@ -608,3 +608,33 @@ def test_explicit_thread_settings_win():
     assert pools == {**dict.fromkeys(POOL_VARIABLES, "1"), "OPENBLAS_NUM_THREADS": "2"}
     pools = _pools_after_import(OMP_NUM_THREADS="3", MKL_NUM_THREADS="2")
     assert pools == {**dict.fromkeys(POOL_VARIABLES, "1"), "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"}
+
+
+def _thread_timeout_when_numpy_loads(**env_overrides):
+    """OPENBLAS_THREAD_TIMEOUT as a fresh interpreter holds it when
+    ``import quasikin.cli`` first loads numpy (absent if numpy never loads)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_overrides)
+    probe = (
+        "import json, os, sys\n"
+        "seen = {}\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen['value'] = os.environ.get('OPENBLAS_THREAD_TIMEOUT')\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import quasikin.cli\n"
+        "print(json.dumps(seen))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def test_openblas_idle_wait_defaults_to_its_minimum_before_numpy_loads():
+    assert _thread_timeout_when_numpy_loads() == {"value": "4"}
+    assert _thread_timeout_when_numpy_loads(OPENBLAS_THREAD_TIMEOUT="20") == {"value": "20"}

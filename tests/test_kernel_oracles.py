@@ -815,6 +815,14 @@ class TestStreamMatchesOracle:
         old, old_clipped = oracle_advect_x(f, dt)
         _agree(new, new_clipped, old, old_clipped, f)
 
+    def test_non_square_2d_at_a_realistic_size(self):
+        # n_x != n_v, with each row-sized buffer of the 2-d stream
+        # (16 x 48 x 48 doubles, 288 KiB) above 64 KiB.
+        f = _state(2, 16, 48, seed=11, v_max=4.0)
+        new, new_clipped = advect_x(f, 0.01)
+        old, old_clipped = oracle_advect_x(f, 0.01)
+        _agree(new, new_clipped, old, old_clipped, f)
+
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("layout", ["fortran", "transposed"])
     def test_any_memory_layout(self, dimension, layout):
