@@ -210,11 +210,14 @@ def match_discrete_maxwellian(
     # at the continuous Maxwellian; in xi the terms of the exponent would
     # grow like |u|^2 / theta and cancel near the peak.  Sharing eta_0 across
     # the per-axis factors, each peaks near exp(log amplitude / d), so it
-    # underflows only where M does.
+    # underflows only where M does.  The start is at least h_v / 2 wide: a
+    # narrower Gaussian lands on one node per axis, where the Gram matrix is
+    # singular, and the discrete match of a cold state is wider than theta.
     x = powers[1] - u[:, :, None]  # (m', d, n_v)
+    width = np.maximum(theta, 0.25 * v_grid.h_v**2)
     eta = np.zeros(targets.shape)
-    eta[:, 0] = np.log(r) - 0.5 * d * np.log(2.0 * np.pi * theta)
-    eta[:, -1] = -0.5 / theta
+    eta[:, 0] = np.log(r) - 0.5 * d * np.log(2.0 * np.pi * width)
+    eta[:, -1] = -0.5 / width
 
     polished = False
     for it in range(max_iter):

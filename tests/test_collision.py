@@ -160,12 +160,26 @@ class TestDiscreteMaxwellianMatching:
         alone = match_discrete_maxwellian(v_grid, rho[[0, 2]], current[[0, 2]], energy2[[0, 2]])
         assert np.array_equal(vals[[0, 2]], alone)
 
-    def test_rejects_a_non_finite_match(self):
-        # A near-delta state whose Newton iterates overflow: the residual
-        # turns NaN, and a NaN residual must fail the final test too.
+    def test_matches_a_state_colder_than_the_node_spacing(self):
+        # theta ~ 1e-6 h_v^2: a Gaussian that narrow lands on one node, where
+        # the Gram matrix is singular; the match is wider than theta.
         v_grid = VelocityGrid(1, 64, 5.0)
         vals = np.zeros((4, 64))
-        vals[:, 40], vals[:, 41] = 1.0, 0.01
+        vals[:, 40], vals[:, 41] = 1.0, 1e-6
+        f = PhaseField(TorusGrid(1, 4), v_grid, vals)
+        macro = moments(f)
+        matched = match_discrete_maxwellian(v_grid, macro.rho, macro.current.T, 2.0 * macro.e_kin)
+        again = moments(PhaseField(f.x_grid, v_grid, matched))
+        assert np.allclose(again.rho, macro.rho, rtol=1e-12, atol=0.0)
+        assert np.allclose(again.current, macro.current, rtol=1e-12, atol=0.0)
+        assert np.allclose(again.e_kin, macro.e_kin, rtol=1e-12, atol=0.0)
+
+    def test_rejects_a_non_finite_match(self):
+        # A near-delta state so large that the Newton iterates overflow: the
+        # residual turns NaN, and a NaN residual must fail the final test too.
+        v_grid = VelocityGrid(1, 64, 5.0)
+        vals = np.zeros((4, 64))
+        vals[:, 40], vals[:, 41] = 1e307, 1e306
         f = PhaseField(TorusGrid(1, 4), v_grid, vals)
         macro = moments(f)
         with np.errstate(all="ignore"), pytest.raises(CollisionMomentError, match="stalled at node 0"):
