@@ -7,15 +7,15 @@ Verbs:
   check     invariant battery -> table (and optional JSON report)
 
 Exit codes: 0 success, 1 check-suite failure, 2 configuration/usage error,
-3 runtime failure.  The numerical thread pools default to one thread: no
-product on a shipped scenario's run path is big enough for OpenBLAS to
-thread, so a larger pool only costs start-up when numpy loads, and outputs
-do not depend on the pool size.  A pool's own variable, set before the
-interpreter first loads numpy, sizes that pool otherwise.  That start-up
-cost is OpenBLAS's idle workers busy-waiting (about 2^28 cycles) before
-they sleep, so OPENBLAS_THREAD_TIMEOUT defaults to 4, its minimum, and
-they sleep at once.  Each of these variables keeps a value set in the
-environment.
+3 runtime failure, an output path the filesystem refuses included.  The
+numerical thread pools default to one thread: no product on a shipped
+scenario's run path is big enough for OpenBLAS to thread, so a larger pool
+only costs start-up when numpy loads, and outputs do not depend on the
+pool size.  A pool's own variable, set before the interpreter first loads
+numpy, sizes that pool otherwise.  That start-up cost is OpenBLAS's idle
+workers busy-waiting (about 2^28 cycles) before they sleep, so
+OPENBLAS_THREAD_TIMEOUT defaults to 4, its minimum, and they sleep at
+once.  Each of these variables keeps a value set in the environment.
 """
 
 import os
@@ -43,6 +43,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+# What a run can fail with after its configuration passed: a solver or
+# diagnostic error, or an output path the filesystem refuses.
+RUNTIME_ERRORS = (OSError, ValueError, RuntimeError)
 
 
 def _write_csv(path: Path, header: str, rows: list) -> None:
@@ -157,7 +160,7 @@ def cmd_sweep(args) -> int:
     for eps in config.sweep_epsilons:
         try:
             metrics = _sweep_member(config, eps, out_dir)
-        except (ConfigError, ValueError, RuntimeError) as exc:
+        except RUNTIME_ERRORS as exc:
             print(f"sweep eps_{eps:g} FAILED: {exc}", file=sys.stderr)
             rows.append(",".join([format_cell(eps)] + [""] * len(columns) + ["failed"]))
             continue
@@ -347,7 +350,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError) as exc:
+    except RUNTIME_ERRORS as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

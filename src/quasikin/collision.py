@@ -34,11 +34,10 @@ kinetic energy) by construction rather than by accident of resolution:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .grids import PhaseField, VelocityGrid, moments
+from .grids import PhaseField, VelocityGrid, _feature_matrix, cached_operator, moments
 
 __all__ = [
     "CollisionConfig",
@@ -105,33 +104,13 @@ def post_collision_velocities(xi, xi1, sigma) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _features(v_grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened node coordinates (K, d) and collision invariants (K, d+2).
-
-    Cached per grid and read-only.
-    """
-    mesh = v_grid.node_mesh()
-    nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    k = nodes.shape[0]
-    feats = np.empty((k, v_grid.dimension + 2))
-    feats[:, 0] = 1.0
-    feats[:, 1 : 1 + v_grid.dimension] = nodes
-    feats[:, -1] = (nodes**2).sum(axis=1)
-    nodes.flags.writeable = False
-    feats.flags.writeable = False
-    return nodes, feats
-
-
-@lru_cache(maxsize=16)
+@cached_operator
 def _axis_powers(v_grid: VelocityGrid) -> np.ndarray:
-    """Powers xi^p (p = 0..4) of the axis nodes, shape (5, n_v), read-only."""
-    powers = v_grid.axis_nodes()[None, :] ** np.arange(5)[:, None]
-    powers.flags.writeable = False
-    return powers
+    """Powers xi^p (p = 0..4) of the axis nodes, shape (5, n_v)."""
+    return v_grid.axis_nodes()[None, :] ** np.arange(5)[:, None]
 
 
-@lru_cache(maxsize=2)
+@cached_operator
 def _gram_map(d: int) -> np.ndarray:
     """Counts C with gram = monomial moments @ C, shape (5^d, (d+2)^2).
 
@@ -147,9 +126,7 @@ def _gram_map(d: int) -> np.ndarray:
             for p in basis[i]:
                 for q in basis[j]:
                     counts[tuple(p + q) + (i, j)] += 1.0
-    counts = counts.reshape(5**d, (d + 2) ** 2)
-    counts.flags.writeable = False
-    return counts
+    return counts.reshape(5**d, (d + 2) ** 2)
 
 
 def match_discrete_maxwellian(
@@ -299,11 +276,13 @@ def bgk_collide(f: PhaseField, tau: float, dt: float) -> PhaseField:
 
 
 def _project_out_invariants(v_grid: VelocityGrid, q: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the complement of span{1, xi, |xi|^2}."""
-    _, feats = _features(v_grid)
-    w = v_grid.weight
-    gram = feats.T @ feats * w
-    coef = np.linalg.solve(gram, feats.T @ q.ravel() * w)
+    """Orthogonal projection onto the complement of span{1, xi, |xi|^2}.
+
+    The columns (1, xi, |xi|^2 / 2) h_v^d of the feature matrix span the
+    invariants, and the projection does not depend on their scale.
+    """
+    feats = _feature_matrix(v_grid)[:, : v_grid.dimension + 2]
+    coef = np.linalg.solve(feats.T @ feats, feats.T @ q.ravel())
     return q - (feats @ coef).reshape(q.shape)
 
 
@@ -324,7 +303,7 @@ def boltzmann_collide_direct(f: PhaseField, config: CollisionConfig) -> np.ndarr
     if n > DIRECT_MAX_NV:
         raise ValueError(f"direct quadrature capped at n_v <= {DIRECT_MAX_NV}")
 
-    nodes, _ = _features(vg)  # (K, 2)
+    nodes = np.stack([m.ravel() for m in vg.node_mesh()], axis=1)  # (K, 2)
     k = nodes.shape[0]
     rel = nodes[:, None, :] - nodes[None, :, :]  # (K, K, 2)
     r = np.sqrt((rel**2).sum(axis=2))

@@ -16,13 +16,13 @@ it unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .grids import (
     GridMismatchError,
     TorusGrid,
+    cached_operator,
     grid_integral,
     inverse_laplacian_zero_mean,
     random_bandlimited_field,
@@ -62,14 +62,12 @@ def _check_velocity(grid: TorusGrid, u: np.ndarray) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=32)
+@cached_operator
 def _band_limit_operator(n_x: int) -> np.ndarray:
-    """Orthogonal projector onto the modes |k| <= (n-1)//3, read-only."""
+    """Orthogonal projector onto the modes |k| <= (n-1)//3."""
     basis, modes = real_fourier_basis(n_x)
     kept = basis[:, modes <= (n_x - 1) // 3]
-    out = kept @ kept.T
-    out.flags.writeable = False
-    return out
+    return kept @ kept.T
 
 
 def band_limit(grid: TorusGrid, field_values: np.ndarray) -> np.ndarray:

@@ -22,13 +22,24 @@ thread count.  What is checked beyond that: tests/test_thread_determinism.py
 shows byte-identical diagnostics at 1 and 2 threads on a 2-d and a 1-d BGK
 scenario with OpenBLAS 0.3.31.  Other BLAS builds may split their sums
 differently across threads.
+
+Every cached operator follows one rule, ``cached_operator``: an LRU cache
+of OPERATOR_CACHE_SIZE entries per builder, whose results are read-only,
+so one array serves every call with the same key and no caller can change
+it.  The bound comes from measured traffic (scripts/cache_traffic.py).
+Over each shipped scenario, and each sweep with its members in one
+process, no builder held more than 4 entries: the four members of
+sweep_quasineutral_d1 each have their own velocity grid.  Within one run
+no builder needs more than 2, the 2-d kick's stacked shift bases, plain
+and transposed.  8 holds all of that, with room for a kick whose shifts
+cross more whole cells.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from pathlib import Path
 from typing import NamedTuple
 
@@ -56,6 +67,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+OPERATOR_CACHE_SIZE = 8  # entries per cached builder; see the module docstring
 
 
 class GridMismatchError(ValueError):
@@ -108,21 +120,35 @@ class TorusGrid:
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
     def wavenumbers_int(self) -> np.ndarray:
-        """Integer wavenumbers in FFT layout (0, 1, ..., -n/2, ..., -1).
-
-        Cached per n_x and read-only; callers that need to modify it copy.
-        """
+        """Integer wavenumbers in FFT layout (0, 1, ..., -n/2, ..., -1)."""
         return _wavenumbers_int(self.n_x)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def _read_only(result):
+    """Mark an array, or each array of a tuple or NamedTuple, read-only."""
+    for array in result if isinstance(result, tuple) else (result,):
+        array.flags.writeable = False
+    return result
 
 
-@lru_cache(maxsize=32)
+def cached_operator(build):
+    """The caching rule: ``build`` under an LRU cache of OPERATOR_CACHE_SIZE
+    entries, its results read-only.
+
+    A hit is one call of the C-level cache object, with no Python frame in
+    front; only a miss runs ``build`` and marks its result read-only.
+    """
+
+    @wraps(build)
+    def build_read_only(*args, **kwargs):
+        return _read_only(build(*args, **kwargs))
+
+    return lru_cache(maxsize=OPERATOR_CACHE_SIZE)(build_read_only)
+
+
+@cached_operator
 def _wavenumbers_int(n_x: int) -> np.ndarray:
-    return _read_only(np.rint(np.fft.fftfreq(n_x) * n_x))
+    return np.rint(np.fft.fftfreq(n_x) * n_x)
 
 
 @dataclass(frozen=True)
@@ -231,9 +257,9 @@ class MacroFields:
     e_kin: np.ndarray
 
 
-@lru_cache(maxsize=32)
+@cached_operator
 def _feature_matrix(v_grid: VelocityGrid) -> np.ndarray:
-    """Velocity features times h_v^d, shape (n_v^d, K), read-only.
+    """Velocity features times h_v^d, shape (n_v^d, K).
 
     Columns: 1, xi_a (a < d), |xi|^2/2, then xi_a xi_b for a <= b, so the
     first d + 2 columns give (rho, J, e_kin) and the rest the stress.
@@ -242,7 +268,7 @@ def _feature_matrix(v_grid: VelocityGrid) -> np.ndarray:
     d = v_grid.dimension
     columns = [np.ones_like(mesh[0])] + mesh + [0.5 * v_grid.speed_squared().ravel()]
     columns += [mesh[a] * mesh[b] for a in range(d) for b in range(a, d)]
-    return _read_only(np.stack(columns, axis=1) * v_grid.weight)
+    return np.stack(columns, axis=1) * v_grid.weight
 
 
 def _feature_moments(f: PhaseField, columns: slice) -> np.ndarray:
@@ -316,14 +342,14 @@ class _SpectralOperators(NamedTuple):
     inverse_symbol: np.ndarray  # 2-d: -1/|2 pi k|^2 in Q coordinates, 0 at k = 0
 
 
-@lru_cache(maxsize=32)
+@cached_operator
 def real_fourier_basis(n_x: int) -> tuple[np.ndarray, np.ndarray]:
     """Real orthonormal Fourier basis Q on n_x points and each column's |k|.
 
     Columns: the constant, cos(2 pi k x_j) and sin(2 pi k x_j) for
     k = 1 .. n_x/2 - 1, then the Nyquist mode (-1)^j, scaled so that
     Q^T Q = I.  A real symbol s(|k|) acts along an axis as Q diag(s) Q^T.
-    Built in closed form; cached per n_x and read-only.
+    Built in closed form.
     """
     half = n_x // 2
     k = np.arange(1, half)
@@ -335,12 +361,12 @@ def real_fourier_basis(n_x: int) -> tuple[np.ndarray, np.ndarray]:
     q[:, half:-1] = np.sqrt(2.0 / n_x) * np.sin(angle)
     q[:, -1] = q[:, 0] * (1 - 2 * (np.arange(n_x) % 2))
     modes = np.concatenate(([0], k, k, [half]))
-    return _read_only(q), _read_only(modes)
+    return q, modes
 
 
-@lru_cache(maxsize=32)
+@cached_operator
 def _spectral_operators(n_x: int) -> _SpectralOperators:
-    """The operators for n_x points per axis, cached and read-only."""
+    """The operators for n_x points per axis."""
     q, modes = real_fourier_basis(n_x)
     half = n_x // 2
     w = TWO_PI * modes
@@ -353,10 +379,10 @@ def _spectral_operators(n_x: int) -> _SpectralOperators:
     symbol[0, 0] = 0.0
     return _SpectralOperators(
         basis=q,
-        d1=_read_only(a - a.T),
-        d2=_read_only((q * -(w**2)) @ q.T),
-        inverse_laplacian=_read_only((q * symbol[0]) @ q.T),
-        inverse_symbol=_read_only(symbol),
+        d1=a - a.T,
+        d2=(q * -(w**2)) @ q.T,
+        inverse_laplacian=(q * symbol[0]) @ q.T,
+        inverse_symbol=symbol,
     )
 
 

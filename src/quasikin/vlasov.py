@@ -33,8 +33,8 @@ puts in the box.  In 2-d the shift of one spatial node's velocity
 slab along each axis is a fixed n x n matrix, so the kick is two small
 matrix products per node.  Per kick and axis, each node's 5 coefficients
 go into the columns of its whole-cell shift in one coefficient matrix, and
-the cached bases of those shifts are stacked into one read-only matrix, so
-a block of nodes gets its operators from one product.  Both kicks work in
+the bases of those shifts are stacked into one cached matrix, so a block
+of nodes gets its operators from one product.  Both kicks work in
 blocks that keep their scratch small.  The distribution is 0 beyond the
 velocity box (outflow by truncation); negative interpolation overshoot is
 clipped to keep f >= 0, and the mass added by clipping is reported with
@@ -51,7 +51,6 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +61,7 @@ from .grids import (
     PhaseField,
     TorusGrid,
     VelocityGrid,
+    cached_operator,
     moments,
     spectral_divergence,
     stress_moments,
@@ -235,7 +235,7 @@ def check_initial_state(
 
 def _density_profile(ic: WellPreparedIC, grid: TorusGrid) -> np.ndarray:
     if ic.profile == "cosine_x":
-        x = grid.coords()[0] if grid.dimension == 2 else grid.axis_coords()
+        x = grid.coords()[0]
         return np.cos(2.0 * np.pi * x)
     if ic.profile == "cosine_xy":
         x, y = grid.coords()
@@ -305,7 +305,7 @@ def _clip_negative(values: np.ndarray, phase_volume: float) -> float:
     return -float(np.add.reduce(clipped)) * phase_volume
 
 
-@lru_cache(maxsize=16)
+@cached_operator
 def _stream_transfer(x_grid: TorusGrid, v_grid: VelocityGrid, dt: float) -> np.ndarray:
     """Fourier transfer of the periodic cubic-spline shift by ``xi dt``.
 
@@ -314,7 +314,6 @@ def _stream_transfer(x_grid: TorusGrid, v_grid: VelocityGrid, dt: float) -> np.n
     n_x/2 + 1 rows serve the 1-d stream's real-to-complex transforms, and
     the inverse DFT of each column is the real kernel of the 2-d stream's
     circulant matrices (_stream_operators).
-    Read-only: the cached array is shared by every call with the same key.
     """
     kappa = 2.0 * np.pi * x_grid.wavenumbers_int() / x_grid.n_x
     beta = (2.0 + np.cos(kappa)) / 3.0
@@ -327,25 +326,20 @@ def _stream_transfer(x_grid: TorusGrid, v_grid: VelocityGrid, dt: float) -> np.n
         + _b3(t)[None, :]
         + ((1.0 - t) ** 3 / 6.0)[None, :] * np.exp(1j * kappa)[:, None]
     )
-    transfer = np.exp(-1j * np.outer(kappa, p)) * weights / beta[:, None]
-    transfer.flags.writeable = False
-    return transfer
+    return np.exp(-1j * np.outer(kappa, p)) * weights / beta[:, None]
 
 
-@lru_cache(maxsize=16)
+@cached_operator
 def _stream_operators(x_grid: TorusGrid, v_grid: VelocityGrid, dt: float) -> np.ndarray:
     """The stream's shift along one x-axis as real circulant matrices.
 
     Shape (n_v, n_x, n_x): T_k maps a line along an x-axis to its shift by
     ``xi_k dt``, T_k[i, j] = c_k[(i - j) mod n_x], with c_k the inverse DFT
-    of column k of _stream_transfer.  Read-only: the cached array is shared
-    by every call with the same key.
+    of column k of _stream_transfer.
     """
     kernel = np.fft.ifft(_stream_transfer(x_grid, v_grid, dt), axis=0).real
     i = np.arange(x_grid.n_x)
-    ops = np.ascontiguousarray(kernel[(i[:, None] - i) % x_grid.n_x].transpose(2, 0, 1))
-    ops.flags.writeable = False
-    return ops
+    return np.ascontiguousarray(kernel[(i[:, None] - i) % x_grid.n_x].transpose(2, 0, 1))
 
 
 def _stream_2d(values: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -404,7 +398,7 @@ def advect_x(f: PhaseField, dt: float) -> tuple[PhaseField, float]:
     return PhaseField(f.x_grid, f.v_grid, values, f.time), clipped
 
 
-@lru_cache(maxsize=16)
+@cached_operator
 def _spline_curvature_operator(n: int, h: float) -> np.ndarray:
     """Dense K with M = K f: second derivatives of the natural cubic spline.
 
@@ -415,8 +409,7 @@ def _spline_curvature_operator(n: int, h: float) -> np.ndarray:
     interior (1, 4, 1) rows, applied to all n columns of D_2 at once:
     forward elimination r_i = (D_2[i] - r_{i-1}) / p_i with pivots
     p_i = 4 - c_{i-1} and c_i = 1 / p_i (c_0 = 0, r_0 = 0), then back
-    substitution r_i -= c_i r_{i+1}.  Rows 0 and n - 1 stay 0.  Read-only:
-    the cached array is shared by every call.
+    substitution r_i -= c_i r_{i+1}.  Rows 0 and n - 1 stay 0.
     """
     k = np.zeros((n, n))
     i = np.arange(1, n - 1)
@@ -431,9 +424,7 @@ def _spline_curvature_operator(n: int, h: float) -> np.ndarray:
     for row in range(n - 3, 0, -1):
         k[row] -= c[row] * k[row + 1]
     # Fortran order, so the K.T that the 1-d kick multiplies by is C-ordered.
-    k = np.asfortranarray(k * (6.0 / h**2))
-    k.flags.writeable = False
-    return k
+    return np.asfortranarray(k * (6.0 / h**2))
 
 
 def _shift_weights(
@@ -458,7 +449,6 @@ def _shift_weights(
     return c, weights, on_edge
 
 
-@lru_cache(maxsize=64)
 def _shift_basis(n: int, h: float, c: int, transposed: bool) -> np.ndarray:
     """The natural-spline shift by whole-cell part c, as 5 flat n x n matrices.
 
@@ -466,8 +456,7 @@ def _shift_basis(n: int, h: float, c: int, transposed: bool) -> np.ndarray:
     edge B4 (see _shift_weights): B0 and B1 pick f[j - c] and f[j - c + 1]
     for every output node j inside the box, B2 and B3 the matching rows of
     K, and B4 is the edge node's f[n - 1].  With ``transposed`` each B is
-    transposed, so the same weights give S^T.  Read-only: the cached array
-    is shared by every call with the same key.
+    transposed, so the same weights give S^T.
     """
     k = _spline_curvature_operator(n, h)
     basis = np.zeros((5, n, n))
@@ -480,22 +469,17 @@ def _shift_basis(n: int, h: float, c: int, transposed: bool) -> np.ndarray:
         basis[4, n - 1 + c, n - 1] = 1.0
     if transposed:
         basis = basis.transpose(0, 2, 1)
-    basis = basis.reshape(5, n * n)  # a C-ordered copy when transposed
-    basis.flags.writeable = False
-    return basis
+    return basis.reshape(5, n * n)  # a C-ordered copy when transposed
 
 
-@lru_cache(maxsize=16)
+@cached_operator
 def _stacked_shift_basis(n: int, h: float, lo: int, hi: int, transposed: bool) -> np.ndarray:
     """The _shift_basis of every whole-cell shift lo..hi, stacked.
 
     Shape (5 (hi - lo + 1), n * n): rows 5 (c - lo) to 5 (c - lo) + 4 are
-    the basis of shift c.  Read-only: the cached array is shared by every
-    call with the same key.
+    the basis of shift c.
     """
-    basis = np.concatenate([_shift_basis(n, h, c, transposed) for c in range(lo, hi + 1)])
-    basis.flags.writeable = False
-    return basis
+    return np.concatenate([_shift_basis(n, h, c, transposed) for c in range(lo, hi + 1)])
 
 
 def _shift_coefficients(
@@ -593,14 +577,14 @@ def advect_v(
     Natural cubic splines along each velocity axis; the shift is uniform
     along each row, so the interpolant is a 2-point stencil in f and in the
     spline's second derivatives, which one cached dense operator gives.  A
-    1-d state runs that stencil per group of rows with the same whole-cell
-    shift (_kick_axis).  In 2-d each node's velocity slab is kicked as two
-    small matrix products with its shift operators (_kick_2d).  Besides the
-    output, the scratch of either is a few blocks of at most
-    KICK_SCRATCH_BYTES.  Any shift is handled; only displacements larger
-    than the whole velocity extent are rejected (that is a configuration
-    error, not a numerical one).  Returns the new field and the mass added
-    by clipping overshoot.
+    1-d state evaluates that stencil once for all rows, and the rows of each
+    whole-cell shift copy what lands in the box (_kick_axis).  In 2-d each
+    node's velocity slab is kicked as two small matrix products with its
+    shift operators (_kick_2d).  Besides the output, the scratch of either
+    is a few blocks of at most KICK_SCRATCH_BYTES.  Any shift is handled;
+    only displacements larger than the whole velocity extent are rejected
+    (that is a configuration error, not a numerical one).  Returns the new
+    field and the mass added by clipping overshoot.
     """
     d = f.x_grid.dimension
     acceleration = np.asarray(acceleration, dtype=float)

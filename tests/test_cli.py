@@ -278,6 +278,16 @@ class TestSimulateVerb:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["field_mode"] == "none"
 
+    def test_output_under_a_file_exits_3_and_names_the_path(self, tiny_cfg, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["simulate", "--config", str(tiny_cfg), "--output", str(blocker / "out")])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("runtime error: NotADirectoryError: ")
+        assert str(blocker / "out") in err[0]
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "no.cfg"),
                      "--output", str(tmp_path / "o")])
@@ -419,6 +429,23 @@ class TestSweepVerb:
         assert (out / "eps_0.2" / "diagnostics.csv").is_file()
         assert json.loads((out / "slopes.json").read_text())["quasineutrality_slope"] is None
 
+    def test_member_directory_taken_by_a_file_is_marked_and_the_others_finish(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(TINY_SWEEP)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "eps_0.4").write_text("")
+        assert main(["sweep", "--config", str(path), "--output", str(out)]) == 3
+        lines = (out / "convergence.csv").read_text().splitlines()
+        assert lines[1] == "0.40000000000000002,,,,,failed"
+        assert lines[2].startswith("0.20000000000000001,") and lines[2].endswith(",ok")
+        err = capsys.readouterr().err
+        assert f"sweep eps_0.4 FAILED: [Errno 17] File exists: '{out / 'eps_0.4'}'" in err
+        assert (out / "eps_0.2" / "diagnostics.csv").is_file()
+        assert (out / "slopes.json").is_file()
+
     def test_sweepless_scenario_exits_2(self, tiny_cfg, tmp_path, capsys):
         code = main(["sweep", "--config", str(tiny_cfg),
                      "--output", str(tmp_path / "o")])
@@ -507,6 +534,20 @@ class TestCheckVerb:
         assert len(payload["checks"]) == 16
         assert all(c["passed"] for c in payload["checks"])
         assert "equilibrium_fixed_point" in [c["name"] for c in payload["checks"]]
+
+    def test_unwritable_report_exits_3_and_names_the_path(self, tmp_path, monkeypatch, capsys):
+        from quasikin import checks
+
+        passed = [checks.CheckResult("stub", True, "ok", 0.0)]
+        monkeypatch.setattr(checks, "run_suite", lambda suite: passed)
+        report = tmp_path / "nodir" / "x.json"
+        assert main(["check", "--json", str(report)]) == 3
+        captured = capsys.readouterr()
+        assert "1/1 checks passed" in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("runtime error: FileNotFoundError: ")
+        assert str(report) in err[0]
 
     def test_equilibrium_check_sees_a_moved_density(self, monkeypatch):
         from quasikin import checks

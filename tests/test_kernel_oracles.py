@@ -31,7 +31,6 @@ which must agree with the dense solve to 1e-14 of max|K|.
 """
 
 import tracemalloc
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -44,7 +43,6 @@ from quasikin.collision import (
     DIRECT_MAX_NV,
     CollisionConfig,
     CollisionMomentError,
-    _features,
     _project_out_invariants,
     boltzmann_collide_direct,
     match_discrete_maxwellian,
@@ -59,7 +57,7 @@ from quasikin.grids import (
     VelocityGrid,
     _check_spatial,
     _feature_matrix,
-    _read_only,
+    cached_operator,
     inverse_laplacian_zero_mean,
     moments,
     spectral_divergence,
@@ -200,6 +198,17 @@ def oracle_stress_moments(f: PhaseField) -> np.ndarray:
     return out
 
 
+def _invariant_table(v_grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened node coordinates (K, d) and collision invariants
+    (1, xi, |xi|^2), shape (K, d+2)."""
+    nodes = np.stack([m.ravel() for m in v_grid.node_mesh()], axis=1)
+    feats = np.empty((nodes.shape[0], v_grid.dimension + 2))
+    feats[:, 0] = 1.0
+    feats[:, 1 : 1 + v_grid.dimension] = nodes
+    feats[:, -1] = (nodes**2).sum(axis=1)
+    return nodes, feats
+
+
 def oracle_match_discrete_maxwellian(
     v_grid: VelocityGrid,
     rho: np.ndarray,
@@ -235,7 +244,7 @@ def oracle_match_discrete_maxwellian(
             f"non-realizable moments at node {bad}: inferred temperature <= 0"
         )
 
-    nodes, feats = _features(v_grid)  # (K, d), (K, d+2)
+    nodes, feats = _invariant_table(v_grid)  # (K, d), (K, d+2)
     w = v_grid.weight
     targets = np.concatenate([r[:, None], j, e2[:, None]], axis=1)  # (m', d+2)
     scale = np.maximum(np.abs(targets), r[:, None] * np.maximum(1.0, theta)[:, None])
@@ -311,7 +320,7 @@ def oracle_boltzmann_collide_direct(f: PhaseField, config: CollisionConfig) -> n
     if vg.n_v > DIRECT_MAX_NV:
         raise ValueError(f"direct quadrature capped at n_v <= {DIRECT_MAX_NV}")
 
-    nodes, _ = _features(vg)  # (K, 2)
+    nodes, _ = _invariant_table(vg)  # (K, 2)
     k = nodes.shape[0]
     rel = nodes[:, None, :] - nodes[None, :, :]  # (K, K, 2)
     r = np.sqrt((rel**2).sum(axis=2))
@@ -344,30 +353,24 @@ def oracle_boltzmann_collide_direct(f: PhaseField, config: CollisionConfig) -> n
     return out
 
 
-@lru_cache(maxsize=32)
+@cached_operator
 def _ik_factor(grid: TorusGrid, axis: int) -> np.ndarray:
-    """i * 2 pi k along ``axis`` with the Nyquist mode zeroed, broadcastable.
-
-    Cached per (dimension, n_x, axis) and read-only.
-    """
+    """i * 2 pi k along ``axis`` with the Nyquist mode zeroed, broadcastable."""
     k = grid.wavenumbers_int()
     ik = 1j * TWO_PI * k
     ik[grid.n_x // 2] = 0.0  # Nyquist has no well-defined sign for odd derivatives
     shape = [1] * grid.dimension
     shape[axis] = grid.n_x
-    return _read_only(ik.reshape(shape))
+    return ik.reshape(shape)
 
 
-@lru_cache(maxsize=32)
+@cached_operator
 def _k2_factor(grid: TorusGrid) -> np.ndarray:
-    """|2 pi k|^2 on the full FFT mesh (Nyquist included).
-
-    Cached per (dimension, n_x) and read-only.
-    """
+    """|2 pi k|^2 on the full FFT mesh (Nyquist included)."""
     k = TWO_PI * grid.wavenumbers_int()
     if grid.dimension == 1:
-        return _read_only(k**2)
-    return _read_only((k**2)[:, None] + (k**2)[None, :])
+        return k**2
+    return (k**2)[:, None] + (k**2)[None, :]
 
 
 def oracle_spectral_gradient(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
@@ -736,8 +739,6 @@ class TestShiftOperators:
         assert first.values.tobytes() == second.values.tobytes()
         for transposed in (False, True):
             basis = vlasov._shift_basis(8, f.v_grid.h_v, 1, transposed)
-            assert basis is vlasov._shift_basis(8, f.v_grid.h_v, 1, transposed)
-            assert not basis.flags.writeable
             assert basis.shape == (5, 64)
             stacked = vlasov._stacked_shift_basis(8, f.v_grid.h_v, -1, 1, transposed)
             assert stacked is vlasov._stacked_shift_basis(8, f.v_grid.h_v, -1, 1, transposed)

@@ -72,3 +72,12 @@ def test_quasineutral_sweep(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "quasineutrality_slope: " in result.stdout
     assert (out / "convergence.csv").is_file()
+
+
+def test_cache_traffic(tmp_path):
+    result = _run_script("cache_traffic.py", [], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "simulate tiny.cfg (exit 0)" in result.stdout
+    assert "sweep tiny.cfg (exit 0)" in result.stdout
+    # The simulate run: 3 steps of two streams each, from one transfer.
+    assert "| `vlasov._stream_transfer` | 1 | 5 | 1 | 8 |" in result.stdout
