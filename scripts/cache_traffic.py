@@ -35,7 +35,7 @@ def parse_args():
     p.add_argument(
         "--config",
         nargs="+",
-        default=sorted(str(p) for p in (REPO / "scenarios").glob("*.cfg")),
+        default=sorted(str(path) for path in (REPO / "scenarios").glob("*.cfg")),
         help="scenario files (default: every shipped scenario)",
     )
     return p.parse_args()
