@@ -16,6 +16,10 @@ numpy, sizes that pool otherwise.  That start-up cost is OpenBLAS's idle
 workers busy-waiting (about 2^28 cycles) before they sleep, so
 OPENBLAS_THREAD_TIMEOUT defaults to 4, its minimum, and they sleep at
 once.  Each of these variables keeps a value set in the environment.
+Apart from those pools, the 2-d phase-space kernels run on every CPU the
+process may use (grids.KERNEL_WORKERS), and their outputs are the same
+bytes at any count.  ``check --json`` refuses a report path whose
+directory is missing or not writable before the suite runs.
 """
 
 import os
@@ -25,6 +29,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUME
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import argparse
+import errno
 import json
 import sys
 import time
@@ -265,9 +270,24 @@ def cmd_euler(args) -> int:
     return EXIT_OK
 
 
+def _check_report_path(path: Path) -> None:
+    """Refuse a report path whose directory is missing or not writable.
+
+    Checked before the suite runs, so a bad path costs no suite run.
+    """
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "report path is a directory", str(path))
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "report directory does not exist", str(path))
+    if not os.access(path.parent, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, "report directory is not writable", str(path))
+
+
 def cmd_check(args) -> int:
     from .checks import run_suite
 
+    if args.json:
+        _check_report_path(Path(args.json))
     results = run_suite(args.suite)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -37,7 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import PhaseField, VelocityGrid, _feature_matrix, cached_operator, moments
+from .grids import (
+    PhaseField,
+    VelocityGrid,
+    _feature_matrix,
+    cached_operator,
+    kernel_workers,
+    moments,
+    split_parts,
+)
 
 __all__ = [
     "CollisionConfig",
@@ -239,7 +247,16 @@ def match_discrete_maxwellian(
         factors[idx] = g
     if d == 1:
         return factors[:, 0]
-    return np.einsum("ni,nj->nij", factors[:, 0], factors[:, 1])
+    # The product in blocks of n_v nodes (n_v^3 values), split over threads.
+    values = np.empty((m,) + v_grid.shape)
+    n = v_grid.n_v
+
+    def product(worker: int, part: int) -> None:
+        b = slice(part * n, (part + 1) * n)
+        np.multiply(factors[b, 0, :, None], factors[b, 1, None, :], out=values[b])
+
+    split_parts(product, -(-m // n))
+    return values
 
 def bgk_collide(f: PhaseField, tau: float, dt: float) -> PhaseField:
     """Exponential BGK update toward the discrete-moment-matched Maxwellian.
@@ -261,12 +278,22 @@ def bgk_collide(f: PhaseField, tau: float, dt: float) -> PhaseField:
     e2 = 2.0 * macro.e_kin.reshape(m)
     values = match_discrete_maxwellian(f.v_grid, rho, cur, e2)
     decay = float(np.exp(-dt / tau))
-    # Blend in place, one spatial row at a time in 2-d, so the only
-    # phase-space arrays are f and the result.
-    values *= 1.0 - decay
-    lead = f.x_grid.n_x if d == 2 else 1
-    for out_row, f_row in zip(values.reshape(lead, -1), f.values.reshape(lead, -1)):
-        out_row += decay * f_row
+    # Blend in place, so the only phase-space arrays are f and the result;
+    # in 2-d one spatial row at a time, split over worker threads, each
+    # with its own row of scratch.
+    if d == 1:
+        values *= 1.0 - decay
+        values += decay * f.values
+        return PhaseField(f.x_grid, f.v_grid, values, f.time)
+    out_rows = values.reshape(f.x_grid.n_x, -1)
+    f_rows = f.values.reshape(out_rows.shape)
+    scratch = np.empty((kernel_workers(len(out_rows)), out_rows.shape[1]))
+
+    def blend(worker: int, i: int) -> None:
+        out_rows[i] *= 1.0 - decay
+        out_rows[i] += np.multiply(decay, f_rows[i], out=scratch[worker])
+
+    split_parts(blend, len(out_rows))
     return PhaseField(f.x_grid, f.v_grid, values.reshape(spatial + f.v_grid.shape), f.time)
 
 

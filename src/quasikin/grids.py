@@ -18,10 +18,16 @@ operators above; the velocity kick applies its spline operator and the BGK
 match its small Newton systems through BLAS and LAPACK as well.  Other
 reductions go through numpy, whose pairwise summation has a fixed order.
 What is promised: runs are bit-reproducible for the same build, input and
-thread count.  What is checked beyond that: tests/test_thread_determinism.py
-shows byte-identical diagnostics at 1 and 2 threads on a 2-d and a 1-d BGK
-scenario with OpenBLAS 0.3.31.  Other BLAS builds may split their sums
+pool size.  What is checked beyond that: tests/test_thread_determinism.py
+shows byte-identical diagnostics at 1 and 2 pool threads on a 2-d and a 1-d
+BGK scenario with OpenBLAS 0.3.31.  Other BLAS builds may split their sums
 differently across threads.
+
+The 2-d phase-space kernels (the stream, the kick, the clip and the BGK
+product and blend) split their rows or node blocks over KERNEL_WORKERS
+threads of their own, one per CPU the process may run on, with
+``split_parts``.  Each part does the operations one thread would, so their
+bytes do not depend on that count (tests/test_kernel_threads.py).
 
 Every cached operator follows one rule, ``cached_operator``: an LRU cache
 of OPERATOR_CACHE_SIZE entries per builder, whose results are read-only,
@@ -37,7 +43,10 @@ cross more whole cells.
 
 from __future__ import annotations
 
+import _thread
+import itertools
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from pathlib import Path
@@ -64,10 +73,20 @@ __all__ = [
     "random_bandlimited_field",
     "write_snapshot",
     "read_snapshot",
+    "split_parts",
 ]
 
 TWO_PI = 2.0 * np.pi
 OPERATOR_CACHE_SIZE = 8  # entries per cached builder; see the module docstring
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all of the host's where the OS cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+KERNEL_WORKERS = _usable_cpus()  # threads a 2-d phase-space kernel may run on
 
 
 class GridMismatchError(ValueError):
@@ -146,7 +165,58 @@ def cached_operator(build):
     return lru_cache(maxsize=OPERATOR_CACHE_SIZE)(build_read_only)
 
 
-@cached_operator
+def kernel_workers(parts: int) -> int:
+    """Threads that split_parts runs ``parts`` parts on: KERNEL_WORKERS, at most one per part."""
+    return max(1, min(KERNEL_WORKERS, parts))
+
+
+def split_parts(work, parts: int) -> None:
+    """Call ``work(worker, part)`` for every part in 0..parts-1, on
+    kernel_workers(parts) threads.
+
+    Worker 0 is the calling thread and starts with part 0; the others are
+    started for this call, and each worker takes the next part nobody has
+    taken, so the split balances itself.  The parts must be independent:
+    the caller builds every cached operator and allocates the scratch
+    buffers (one per worker) before the split, and each part writes only
+    its own slice of the output, so the result does not depend on which
+    worker ran which part.  Returns once every worker is done; a worker's
+    exception is raised here.
+    """
+    count = kernel_workers(parts) - 1
+    if not count:
+        for part in range(parts):
+            work(0, part)
+        return
+    taken = itertools.count(1).__next__
+    failures = []
+
+    def drain(worker: int, done=None) -> None:
+        try:
+            part = 0 if worker == 0 else taken()
+            while part < parts:
+                work(worker, part)
+                part = taken()
+        except BaseException as exc:
+            failures.append(exc)
+        finally:
+            if done is not None:
+                done.release()
+
+    # Bare threads: the caller need not wait for each to start, as
+    # threading.Thread.start does (about 0.2 ms on a 2-core host).
+    done = []
+    for worker in range(1, count + 1):
+        done.append(_thread.allocate_lock())
+        done[-1].acquire()
+        _thread.start_new_thread(drain, (worker, done[-1]))
+    drain(0)
+    for lock in done:
+        lock.acquire()
+    if failures:
+        raise failures[0]
+
+
 def _wavenumbers_int(n_x: int) -> np.ndarray:
     return np.rint(np.fft.fftfreq(n_x) * n_x)
 

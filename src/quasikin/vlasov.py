@@ -40,6 +40,11 @@ velocity box (outflow by truncation); negative interpolation overshoot is
 clipped to keep f >= 0, and the mass added by clipping is reported with
 each substep.
 
+A 2-d state's stream, kick and clip split their rows, slabs or node
+blocks over grids.KERNEL_WORKERS threads (grids.split_parts).  Each part
+does the floating-point operations one thread would, so the output is the
+same bytes at any thread count; a 1-d state stays on the calling thread.
+
 Diagnostics are evaluated on the end-of-step state with a *fresh* field
 solve at that time; mixing the half-step potential with end-step moments
 would contaminate the measured energy drift at first order in dt.  A
@@ -62,10 +67,12 @@ from .grids import (
     TorusGrid,
     VelocityGrid,
     cached_operator,
+    kernel_workers,
     moments,
     spectral_divergence,
     stress_moments,
     random_bandlimited_field,
+    split_parts,
 )
 from .monge_ampere import FieldSolveReport, solve_field
 
@@ -83,7 +90,9 @@ __all__ = [
 
 FIELD_MODES = ("monge_ampere", "poisson", "none")
 VELOCITY_MARGIN_SIGMAS = 6.0  # v_max must cover u_max + 6 sqrt(theta)
-KICK_SCRATCH_BYTES = 1 << 19  # bytes in one block of rows or slabs the kick takes
+# Bytes in one block of rows the 1-d kick takes; the 2-d kick's workers
+# share it, one block each.
+KICK_SCRATCH_BYTES = 1 << 19
 # Multiply-adds in one 1-d kick block's product.  The OpenBLAS bundled with
 # numpy keeps a GEMM of up to 10^6 on the calling thread and splits a larger
 # one over its pool, whose handoff costs more than it saves at these sizes.
@@ -297,11 +306,34 @@ def _b3(t: np.ndarray) -> np.ndarray:
 
 
 def _clip_negative(values: np.ndarray, phase_volume: float) -> float:
-    negative = values < 0.0
-    clipped = values[negative]
+    """Set the negative entries of ``values`` to 0; return the mass that adds.
+
+    A 2-d state in C order is clipped a row (first axis) at a time, split
+    over worker threads, each with its own row-sized mask.  The rows'
+    negatives are joined in row order into one array, the one a single
+    pass gathers, so the returned mass is the same pairwise sum.
+    """
+    if values.ndim == 2 or not values.flags.c_contiguous:
+        negative = values < 0.0
+        clipped = values[negative]
+        if not clipped.size:
+            return 0.0
+        values[negative] = 0.0
+        return -float(np.add.reduce(clipped)) * phase_volume
+    rows = values.reshape(len(values), -1)
+    masks = np.empty((kernel_workers(len(rows)), rows.shape[1]), dtype=bool)
+    negatives = [None] * len(rows)
+
+    def clip(worker: int, i: int) -> None:
+        row = rows[i]
+        at = np.flatnonzero(np.less(row, 0.0, out=masks[worker]))
+        negatives[i] = row[at]
+        row[at] = 0.0
+
+    split_parts(clip, len(rows))
+    clipped = np.concatenate(negatives)
     if not clipped.size:
         return 0.0
-    values[negative] = 0.0
     return -float(np.add.reduce(clipped)) * phase_volume
 
 
@@ -352,22 +384,28 @@ def _stream_2d(values: np.ndarray, ops: np.ndarray) -> np.ndarray:
     write to a second buffer of the same layout, swapped back into the row.
     Pass 2 shifts along x1, one x2 slab at a time, with the operator of each
     v1 node.  The slab is copied to (v1, x1, v2) order, and the GEMMs write
-    the slab itself through its (v1, x1, v2) view.  The buffers are sized
-    once per call, so every product is a plain stack of n_x x n_x GEMMs.
+    the slab itself through its (v1, x1, v2) view.  Each pass is split over
+    worker threads by rows or slabs, pass 2 after pass 1 has ended; each
+    worker has its own two row-sized buffers, allocated once per call, so
+    every product is a plain stack of n_x x n_x GEMMs.
     """
     n1, n2, nv1, nv2 = values.shape
     out = np.empty(values.shape)
-    swapped = np.empty((n2, nv2, nv1))
-    product = np.empty((n2, nv2, nv1))
-    for i, row in enumerate(values):
-        swapped[...] = row.transpose(0, 2, 1)
+    scratch = np.empty((kernel_workers(n1), 2, n2, nv2, nv1))
+
+    def row(worker: int, i: int) -> None:
+        swapped, product = scratch[worker]
+        swapped[...] = values[i].transpose(0, 2, 1)
         np.matmul(ops, swapped.transpose(1, 0, 2), out=product.transpose(1, 0, 2))
         out[i] = product.transpose(0, 2, 1)
-    lines = np.empty((nv1, n1, nv2))
-    for j in range(n2):
-        slab = out[:, j]
-        lines[...] = slab.transpose(1, 0, 2)
-        np.matmul(ops, lines, out=slab.transpose(1, 0, 2))
+
+    def slab(worker: int, j: int) -> None:
+        lines = scratch[worker, 0].reshape(nv1, n1, nv2)
+        lines[...] = out[:, j].transpose(1, 0, 2)
+        np.matmul(ops, lines, out=out[:, j].transpose(1, 0, 2))
+
+    split_parts(row, n1)
+    split_parts(slab, n2)
     return out
 
 
@@ -548,11 +586,14 @@ def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
 
     ``values`` is (x1, x2, v1, v2) and ``sigma`` (2, x1, x2) in cells.  Each
     node's kick is out = S1 f S2^T with S_b its shift operator along v_b,
-    v1 first, computed a block of at most KICK_SCRATCH_BYTES of nodes at a
-    time into one output.  Per axis, the nodes' coefficients and the
-    stacked basis of their whole-cell shifts are built once per kick
-    (_shift_coefficients), so a block's operators are one matrix product:
-    its rows of coef times the basis.
+    v1 first, computed a block of nodes at a time into one output.  Per
+    axis, the nodes' coefficients and the stacked basis of their
+    whole-cell shifts are built once per kick (_shift_coefficients), so a
+    block's operators are one matrix product: its rows of coef times the
+    basis.  The blocks are split over worker threads, and the workers'
+    blocks together hold at most KICK_SCRATCH_BYTES; each worker has two
+    block buffers, one for a block's operators and one for its half-kicked
+    slabs.
     """
     n = values.shape[-1]
     src = np.ascontiguousarray(values).reshape(-1, n, n)
@@ -560,12 +601,21 @@ def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
     dst = out.reshape(src.shape)
     coef1, basis1 = _shift_coefficients(sigma[0].reshape(-1), n, h, transposed=False)
     coef2, basis2_t = _shift_coefficients(sigma[1].reshape(-1), n, h, transposed=True)
-    block = max(1, KICK_SCRATCH_BYTES // (n * n * values.itemsize))
-    for r0 in range(0, len(src), block):
-        r = slice(r0, r0 + block)
-        kicked = (coef1[r] @ basis1).reshape(-1, n, n) @ src[r]
-        s2_t = (coef2[r] @ basis2_t).reshape(-1, n, n)
-        np.matmul(kicked, s2_t, out=dst[r])
+    block = max(1, KICK_SCRATCH_BYTES // (kernel_workers(len(src)) * n * n * values.itemsize))
+    blocks = -(-len(src) // block)
+    scratch = np.empty((kernel_workers(blocks), 2, block, n, n))
+
+    def kick(worker: int, b: int) -> None:
+        r = slice(b * block, (b + 1) * block)
+        k = len(coef1[r])
+        ops, kicked = scratch[worker, :, :k]
+        flat = ops.reshape(k, n * n)
+        np.matmul(coef1[r], basis1, out=flat)
+        np.matmul(ops, src[r], out=kicked)
+        np.matmul(coef2[r], basis2_t, out=flat)
+        np.matmul(kicked, ops, out=dst[r])
+
+    split_parts(kick, blocks)
     return out
 
 
@@ -581,7 +631,7 @@ def advect_v(
     whole-cell shift copy what lands in the box (_kick_axis).  In 2-d each
     node's velocity slab is kicked as two small matrix products with its
     shift operators (_kick_2d).  Besides the output, the scratch of either
-    is a few blocks of at most KICK_SCRATCH_BYTES.  Any shift is handled;
+    is a few times KICK_SCRATCH_BYTES.  Any shift is handled;
     only displacements larger than the whole velocity extent are rejected
     (that is a configuration error, not a numerical one).  Returns the new
     field and the mass added by clipping overshoot.

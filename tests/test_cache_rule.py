@@ -24,7 +24,6 @@ _spec.loader.exec_module(cache_traffic)
 BUILDERS = cache_traffic.cached_builders()
 
 SAMPLE_ARGUMENTS = {
-    "grids._wavenumbers_int": (8,),
     "grids._feature_matrix": (VelocityGrid(2, 8, 3.0),),
     "grids.real_fourier_basis": (8,),
     "grids._spectral_operators": (8,),

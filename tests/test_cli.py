@@ -535,18 +535,29 @@ class TestCheckVerb:
         assert all(c["passed"] for c in payload["checks"])
         assert "equilibrium_fixed_point" in [c["name"] for c in payload["checks"]]
 
-    def test_unwritable_report_exits_3_and_names_the_path(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "where, error",
+        [("nodir/x.json", "FileNotFoundError"), ("file/x.json", "FileNotFoundError"),
+         ("dir", "IsADirectoryError")],
+    )
+    def test_unwritable_report_exits_3_before_the_suite_runs(
+        self, tmp_path, monkeypatch, capsys, where, error
+    ):
         from quasikin import checks
 
-        passed = [checks.CheckResult("stub", True, "ok", 0.0)]
-        monkeypatch.setattr(checks, "run_suite", lambda suite: passed)
-        report = tmp_path / "nodir" / "x.json"
+        def refuse(suite):
+            raise AssertionError("run_suite called")
+
+        monkeypatch.setattr(checks, "run_suite", refuse)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        report = tmp_path / where
         assert main(["check", "--json", str(report)]) == 3
         captured = capsys.readouterr()
-        assert "1/1 checks passed" in captured.out
+        assert captured.out == ""
         err = captured.err.strip().splitlines()
         assert len(err) == 1
-        assert err[0].startswith("runtime error: FileNotFoundError: ")
+        assert err[0].startswith(f"runtime error: {error}: ")
         assert str(report) in err[0]
 
     def test_equilibrium_check_sees_a_moved_density(self, monkeypatch):
