@@ -535,23 +535,13 @@ class TestCheckVerb:
         assert all(c["passed"] for c in payload["checks"])
         assert "equilibrium_fixed_point" in [c["name"] for c in payload["checks"]]
 
-    @pytest.mark.parametrize(
-        "where, error",
-        [("nodir/x.json", "FileNotFoundError"), ("file/x.json", "FileNotFoundError"),
-         ("dir", "IsADirectoryError")],
-    )
-    def test_unwritable_report_exits_3_before_the_suite_runs(
-        self, tmp_path, monkeypatch, capsys, where, error
-    ):
+    def _refuse_report(self, monkeypatch, capsys, report: Path, error: str) -> None:
         from quasikin import checks
 
         def refuse(suite):
             raise AssertionError("run_suite called")
 
         monkeypatch.setattr(checks, "run_suite", refuse)
-        (tmp_path / "file").write_text("")
-        (tmp_path / "dir").mkdir()
-        report = tmp_path / where
         assert main(["check", "--json", str(report)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -559,6 +549,18 @@ class TestCheckVerb:
         assert len(err) == 1
         assert err[0].startswith(f"runtime error: {error}: ")
         assert str(report) in err[0]
+
+    def test_unwritable_report_exits_3_and_names_the_path(self, tmp_path, monkeypatch, capsys):
+        # Before the suite runs: run_suite is never called.
+        report = tmp_path / "nodir" / "x.json"
+        self._refuse_report(monkeypatch, capsys, report, "FileNotFoundError")
+
+    def test_report_under_a_file_or_at_a_directory_exits_3(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "file").write_text("")
+        report = tmp_path / "file" / "x.json"
+        self._refuse_report(monkeypatch, capsys, report, "FileNotFoundError")
+        (tmp_path / "dir").mkdir()
+        self._refuse_report(monkeypatch, capsys, tmp_path / "dir", "IsADirectoryError")
 
     def test_equilibrium_check_sees_a_moved_density(self, monkeypatch):
         from quasikin import checks
