@@ -44,6 +44,7 @@ from .grids import (
     cached_operator,
     kernel_workers,
     moments,
+    output_array,
     split_parts,
 )
 
@@ -144,13 +145,15 @@ def match_discrete_maxwellian(
     energy2: np.ndarray,
     rtol: float = 1e-13,
     max_iter: int = 60,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Discrete Maxwellians matching given grid moments exactly.
 
     Parameters are batched over nodes: ``rho`` (m,), ``current`` (m, d), and
     ``energy2 = sum |xi|^2 f h_v^d`` (m,).  Returns values of shape
     (m,) + v_grid.shape whose *discrete* moments reproduce the targets to
-    relative accuracy ``rtol``.  Nodes with rho = 0 get the zero function.
+    relative accuracy ``rtol``, in ``out`` if given (see
+    grids.output_array).  Nodes with rho = 0 get the zero function.
     Raises CollisionMomentError (with the worst node index) for
     non-realizable moments or a stalled parameter solve.
 
@@ -175,7 +178,9 @@ def match_discrete_maxwellian(
             raise CollisionMomentError(f"negative density at node {node}: {rho[node]:g}")
         active = rho > 0.0
         if not np.any(active):
-            return np.zeros((m,) + v_grid.shape)
+            values = output_array(out, (m,) + v_grid.shape)
+            values.fill(0.0)
+            return values
         idx = np.nonzero(active)[0]
         r, j, e2 = rho[idx], current[idx], energy2[idx]
 
@@ -245,10 +250,13 @@ def match_discrete_maxwellian(
     if len(r) < m:  # zero factors at the rho = 0 nodes give their zero function
         factors = np.zeros((m, d, v_grid.n_v))
         factors[idx] = g
-    if d == 1:
+    if d == 1 and out is None:
         return factors[:, 0]
+    values = output_array(out, (m,) + v_grid.shape)
+    if d == 1:
+        values[...] = factors[:, 0]
+        return values
     # The product in blocks of n_v nodes (n_v^3 values), split over threads.
-    values = np.empty((m,) + v_grid.shape)
     n = v_grid.n_v
 
     def product(worker: int, part: int) -> None:
@@ -258,33 +266,39 @@ def match_discrete_maxwellian(
     split_parts(product, -(-m // n))
     return values
 
-def bgk_collide(f: PhaseField, tau: float, dt: float) -> PhaseField:
+def bgk_collide(
+    f: PhaseField, tau: float, dt: float, out: np.ndarray | None = None
+) -> PhaseField:
     """Exponential BGK update toward the discrete-moment-matched Maxwellian.
 
     f_new = exp(-dt/tau) f + (1 - exp(-dt/tau)) M*, which preserves the
     discrete invariants to the Maxwellian matching tolerance, preserves
-    positivity for any dt, and does not increase sum f log f.
+    positivity for any dt, and does not increase sum f log f.  f_new goes
+    into ``out`` (see grids.output_array).  M* is written there before the
+    blend reads f, so ``out`` must not share memory with ``f.values``.
     """
     if not 0.0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if not 0.0 <= dt < np.inf:
         raise ValueError(f"dt must be nonnegative and finite, got {dt}")
+    values = output_array(out, f.values.shape)
+    if np.may_share_memory(values, f.values):
+        raise ValueError("out must not share memory with f.values")
     macro = moments(f)
     d = f.x_grid.dimension
-    spatial = f.x_grid.shape
     m = macro.rho.size
     rho = macro.rho.reshape(m)
     cur = macro.current.reshape(d, m).T
     e2 = 2.0 * macro.e_kin.reshape(m)
-    values = match_discrete_maxwellian(f.v_grid, rho, cur, e2)
     decay = float(np.exp(-dt / tau))
-    # Blend in place, so the only phase-space arrays are f and the result;
-    # in 2-d one spatial row at a time, split over worker threads, each
-    # with its own row of scratch.
-    if d == 1:
-        values *= 1.0 - decay
+    if d == 1:  # the Maxwellian is the match's own small array
+        np.multiply(match_discrete_maxwellian(f.v_grid, rho, cur, e2), 1.0 - decay, out=values)
         values += decay * f.values
         return PhaseField(f.x_grid, f.v_grid, values, f.time)
+    # The Maxwellian goes into out and the blend into it in place, so the
+    # phase-space arrays are f and out alone: one spatial row at a time,
+    # split over worker threads, each with its own row of scratch.
+    match_discrete_maxwellian(f.v_grid, rho, cur, e2, out=values.reshape((m,) + f.v_grid.shape))
     out_rows = values.reshape(f.x_grid.n_x, -1)
     f_rows = f.values.reshape(out_rows.shape)
     scratch = np.empty((kernel_workers(len(out_rows)), out_rows.shape[1]))
@@ -294,7 +308,7 @@ def bgk_collide(f: PhaseField, tau: float, dt: float) -> PhaseField:
         out_rows[i] += np.multiply(decay, f_rows[i], out=scratch[worker])
 
     split_parts(blend, len(out_rows))
-    return PhaseField(f.x_grid, f.v_grid, values.reshape(spatial + f.v_grid.shape), f.time)
+    return PhaseField(f.x_grid, f.v_grid, values, f.time)
 
 
 # ---------------------------------------------------------------------------

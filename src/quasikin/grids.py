@@ -27,7 +27,10 @@ The 2-d phase-space kernels (the stream, the kick, the clip and the BGK
 product and blend) split their rows or node blocks over KERNEL_WORKERS
 threads of their own, one per CPU the process may run on, with
 ``split_parts``.  Each part does the operations one thread would, so their
-bytes do not depend on that count (tests/test_kernel_threads.py).
+bytes do not depend on that count (tests/test_kernel_threads.py).  The
+stream, the kick, the BGK update and its Maxwellian take an ``out`` array,
+checked by ``output_array``; the stream and the kick may write into their
+input's own array, so a run advances its state in buffers it allocates once.
 
 Every cached operator follows one rule, ``cached_operator``: an LRU cache
 of OPERATOR_CACHE_SIZE entries per builder, whose results are read-only,
@@ -168,6 +171,35 @@ def cached_operator(build):
 def kernel_workers(parts: int) -> int:
     """Threads that split_parts runs ``parts`` parts on: KERNEL_WORKERS, at most one per part."""
     return max(1, min(KERNEL_WORKERS, parts))
+
+
+def output_array(out, shape: tuple[int, ...]) -> np.ndarray:
+    """A kernel's output: a new array of ``shape`` if ``out`` is None, else ``out``.
+
+    ``out`` must be a writeable, C-contiguous float64 array of exactly that
+    shape.  The kernels write through reshaped views of it, and reshaping
+    any other layout gives a copy that the result would silently land in,
+    so such an ``out`` raises ValueError naming the expected shape.
+    """
+    if out is None:
+        return np.empty(shape)
+    if not (
+        isinstance(out, np.ndarray)
+        and out.shape == shape
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        got = (
+            f"shape {out.shape}, dtype {out.dtype}, "
+            f"C-contiguous {out.flags.c_contiguous}, writeable {out.flags.writeable}"
+            if isinstance(out, np.ndarray)
+            else type(out).__name__
+        )
+        raise ValueError(
+            f"out must be a writeable, C-contiguous float64 array of shape {shape}; got {got}"
+        )
+    return out
 
 
 def split_parts(work, parts: int) -> None:

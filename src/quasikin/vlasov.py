@@ -44,6 +44,8 @@ A 2-d state's stream, kick and clip split their rows, slabs or node
 blocks over grids.KERNEL_WORKERS threads (grids.split_parts).  Each part
 does the floating-point operations one thread would, so the output is the
 same bytes at any thread count; a 1-d state stays on the calling thread.
+Both advections write into an ``out`` array that may be the input's own,
+so a run steps inside the state arrays it allocated once (see run).
 
 Diagnostics are evaluated on the end-of-step state with a *fresh* field
 solve at that time; mixing the half-step potential with end-step moments
@@ -69,6 +71,7 @@ from .grids import (
     cached_operator,
     kernel_workers,
     moments,
+    output_array,
     spectral_divergence,
     stress_moments,
     random_bandlimited_field,
@@ -374,23 +377,24 @@ def _stream_operators(x_grid: TorusGrid, v_grid: VelocityGrid, dt: float) -> np.
     return np.ascontiguousarray(kernel[(i[:, None] - i) % x_grid.n_x].transpose(2, 0, 1))
 
 
-def _stream_2d(values: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Stream a 2-d state (x1, x2, v1, v2): each node (k1, k2) gets T_k1 f T_k2^T.
+def _stream_2d(values: np.ndarray, ops: np.ndarray, out: np.ndarray) -> None:
+    """Stream a 2-d state (x1, x2, v1, v2) into ``out``: each node (k1, k2)
+    gets T_k1 f T_k2^T.  ``out`` may be ``values`` itself.
 
     Pass 1 shifts along x2, one x1 row at a time, with the operator of each
     v2 node.  The row is copied with only its velocity axes swapped, to
     (x2, v2, v1); in (v2, x2, v1) order that copy is a stack of x2 x v1
     blocks with unit stride along v1, which the GEMMs read as they are and
-    write to a second buffer of the same layout, swapped back into the row.
-    Pass 2 shifts along x1, one x2 slab at a time, with the operator of each
-    v1 node.  The slab is copied to (v1, x1, v2) order, and the GEMMs write
-    the slab itself through its (v1, x1, v2) view.  Each pass is split over
+    write to a second buffer of the same layout, swapped back into the row
+    of ``out``; the row is read whole before it is written.  Pass 2 shifts
+    along x1, one x2 slab at a time, with the operator of each v1 node.
+    The slab is copied to (v1, x1, v2) order, and the GEMMs write the slab
+    itself through its (v1, x1, v2) view.  Each pass is split over
     worker threads by rows or slabs, pass 2 after pass 1 has ended; each
     worker has its own two row-sized buffers, allocated once per call, so
     every product is a plain stack of n_x x n_x GEMMs.
     """
     n1, n2, nv1, nv2 = values.shape
-    out = np.empty(values.shape)
     scratch = np.empty((kernel_workers(n1), 2, n2, nv2, nv1))
 
     def row(worker: int, i: int) -> None:
@@ -406,10 +410,11 @@ def _stream_2d(values: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
     split_parts(row, n1)
     split_parts(slab, n2)
-    return out
 
 
-def advect_x(f: PhaseField, dt: float) -> tuple[PhaseField, float]:
+def advect_x(
+    f: PhaseField, dt: float, out: np.ndarray | None = None
+) -> tuple[PhaseField, float]:
     """Exact-in-time streaming update f(x, xi) <- f(x - xi dt, xi).
 
     Per x-axis, each velocity slice is shifted by a uniform displacement
@@ -420,18 +425,20 @@ def advect_x(f: PhaseField, dt: float) -> tuple[PhaseField, float]:
     circulant matrices (_stream_operators) in two passes of small GEMMs,
     one per x-axis (_stream_2d).  Each slice keeps its mass to roundoff;
     the returned float is the (tiny) mass added by clipping overshoot.
-    A non-finite dt is rejected.
+    A non-finite dt is rejected.  The new values go into ``out`` (see
+    grids.output_array), which may be ``f.values`` itself.
     """
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
+    values = output_array(out, f.values.shape)
     if f.x_grid.dimension == 1:
         n_x = f.x_grid.n_x
         transfer = _stream_transfer(f.x_grid, f.v_grid, dt)
         spectrum = np.fft.rfft(f.values, axis=0)
         spectrum *= transfer[: n_x // 2 + 1]
-        values = np.fft.irfft(spectrum, n=n_x, axis=0)
+        np.fft.irfft(spectrum, n=n_x, axis=0, out=values)
     else:
-        values = _stream_2d(f.values, _stream_operators(f.x_grid, f.v_grid, dt))
+        _stream_2d(f.values, _stream_operators(f.x_grid, f.v_grid, dt), values)
     clipped = _clip_negative(values, f.x_grid.cell_volume * f.v_grid.weight)
     return PhaseField(f.x_grid, f.v_grid, values, f.time), clipped
 
@@ -538,7 +545,9 @@ def _shift_coefficients(
     return coef.reshape(c.size, -1), _stacked_shift_basis(n, h, lo, hi, transposed)
 
 
-def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
+def _kick_axis(
+    values: np.ndarray, sigma: np.ndarray, h: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Shift the velocity row of every node of a 1-d state by its own sigma.
 
     ``values`` is (spatial node, velocity node) and ``sigma`` holds one
@@ -552,6 +561,7 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
     evaluated once for every row and every offset k = j - c < n - 1, and
     the rows of each distinct c copy the offsets that land in the box to
     their output nodes.  Every other node stays 0, except the edge node.
+    The result goes into ``out`` (new if None), which may be ``values``.
     """
     n = values.shape[-1]
     curvature_t = _spline_curvature_operator(n, h).T
@@ -568,7 +578,10 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
     term += w[1] * values[:, 1:]
     term += w[2] * m[:, :-1]
     term += w[3] * m[:, 1:]
-    out = np.zeros(values.shape)
+    last = values[:, n - 1].copy()  # the edge node's source, read before out is written
+    if out is None:
+        out = np.empty(values.shape)
+    out.fill(0.0)
     for s in range(int(np.minimum.reduce(c)), int(np.maximum.reduce(c)) + 1):
         rows = (c == s).nonzero()[0]
         lo, hi = max(s, 0), min(n - 1 + s, n)  # output nodes inside the box
@@ -577,12 +590,13 @@ def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
         edge = n - 1 + s
         if 0 <= edge < n:
             rows = rows[on_edge[rows]]
-            out[rows, edge] = values[rows, n - 1]
+            out[rows, edge] = last[rows]
     return out
 
 
-def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
-    """Shift the velocity slab of every node of a 2-d state by its own sigma.
+def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float, out: np.ndarray) -> None:
+    """Shift the velocity slab of every node of a 2-d state by its own sigma,
+    into ``out``, which may be ``values`` itself.
 
     ``values`` is (x1, x2, v1, v2) and ``sigma`` (2, x1, x2) in cells.  Each
     node's kick is out = S1 f S2^T with S_b its shift operator along v_b,
@@ -593,11 +607,11 @@ def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
     basis.  The blocks are split over worker threads, and the workers'
     blocks together hold at most KICK_SCRATCH_BYTES; each worker has two
     block buffers, one for a block's operators and one for its half-kicked
-    slabs.
+    slabs.  A block's first product reads its input into the half-kicked
+    slabs before the second writes its output.
     """
     n = values.shape[-1]
     src = np.ascontiguousarray(values).reshape(-1, n, n)
-    out = np.empty(values.shape)
     dst = out.reshape(src.shape)
     coef1, basis1 = _shift_coefficients(sigma[0].reshape(-1), n, h, transposed=False)
     coef2, basis2_t = _shift_coefficients(sigma[1].reshape(-1), n, h, transposed=True)
@@ -616,11 +630,10 @@ def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float) -> np.ndarray:
         np.matmul(kicked, ops, out=dst[r])
 
     split_parts(kick, blocks)
-    return out
 
 
 def advect_v(
-    f: PhaseField, acceleration: np.ndarray, dt: float
+    f: PhaseField, acceleration: np.ndarray, dt: float, out: np.ndarray | None = None
 ) -> tuple[PhaseField, float]:
     """Kick update f(x, xi) <- f(x, xi - a(x) dt), zero outside the box.
 
@@ -630,8 +643,11 @@ def advect_v(
     1-d state evaluates that stencil once for all rows, and the rows of each
     whole-cell shift copy what lands in the box (_kick_axis).  In 2-d each
     node's velocity slab is kicked as two small matrix products with its
-    shift operators (_kick_2d).  Besides the output, the scratch of either
-    is a few times KICK_SCRATCH_BYTES.  Any shift is handled;
+    shift operators (_kick_2d).  The new values go into ``out`` (see
+    grids.output_array), which may be ``f.values`` itself, so a 2-d kick
+    into its input allocates only its scratch, a few times
+    KICK_SCRATCH_BYTES; a 1-d kick also takes a state-sized curvature and
+    stencil.  Any shift is handled;
     only displacements larger than the whole velocity extent are rejected
     (that is a configuration error, not a numerical one).  Returns the new
     field and the mass added by clipping overshoot.
@@ -651,10 +667,11 @@ def advect_v(
         )
     h_v = f.v_grid.h_v
     sigma = acceleration * (dt / h_v)
+    values = output_array(out, f.values.shape)
     if d == 1:
-        values = _kick_axis(f.values, sigma[0], h_v)
+        _kick_axis(f.values, sigma[0], h_v, values)
     else:
-        values = _kick_2d(f.values, sigma, h_v)
+        _kick_2d(f.values, sigma, h_v, values)
     clipped = _clip_negative(values, f.x_grid.cell_volume * f.v_grid.weight)
     return PhaseField(f.x_grid, f.v_grid, values, f.time), clipped
 
@@ -691,23 +708,29 @@ def observe(
 
 
 def _advance(
-    f: PhaseField, params: SimulationParams
-) -> tuple[PhaseField, float, FieldSolveReport | None]:
+    f: PhaseField, params: SimulationParams, spare: np.ndarray | None
+) -> tuple[PhaseField, float, FieldSolveReport | None, np.ndarray | None]:
+    """One step, written over ``f.values``; returns the new state, the mass
+    added by clipping, the half-step field report and the new spare.
+
+    The stream and the kick write into the state's own array.  The BGK
+    update writes into ``spare``, after which the two arrays swap roles.
+    """
     dt = params.dt
-    f, clipped = advect_x(f, 0.5 * dt)
+    f, clipped = advect_x(f, 0.5 * dt, out=f.values)
     report = None
     if params.field_mode != "none":
         macro = moments(f)
         potential, report = solve_field(
             f.x_grid, macro.rho, params.epsilon, mode=params.field_mode
         )
-        f, c = advect_v(f, potential.grad, dt)
+        f, c = advect_v(f, potential.grad, dt, out=f.values)
         clipped += c
     if params.collision.kind == "bgk":
-        f = bgk_collide(f, params.collision.tau, dt)
-    f, c = advect_x(f, 0.5 * dt)
+        f, spare = bgk_collide(f, params.collision.tau, dt, out=spare), f.values
+    f, c = advect_x(f, 0.5 * dt, out=f.values)
     clipped += c
-    return f, clipped, report
+    return f, clipped, report, spare
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +748,8 @@ class Trajectory:
     step 0, at every multiple of the stride and at the last step.  With a
     stride of 0 it holds only the final state (the ``final`` object itself,
     the initial state for a zero-step run).  ``snapshot_steps`` gives the
-    step of each snapshot.
+    step of each snapshot.  The run overwrote its state arrays every step,
+    and ``final.values`` is one of them, not a copy.
     """
 
     params: SimulationParams
@@ -747,10 +771,17 @@ def run(params: SimulationParams) -> Trajectory:
     energy is taken against the reference flow.  Snapshots follow
     ``params.snapshot_stride`` (see Trajectory); a stride of 0 copies no
     state.  Deterministic: identical params give bit-identical trajectories.
+
+    The run allocates its state arrays once and overwrites them every step
+    (see _advance): the initial state's array, plus a spare with BGK.  So
+    a run holds one phase-space state through each step, or two with BGK,
+    and no step after the first allocates a state.  ``final`` holds one of
+    those arrays.
     """
     x_grid = params.x_grid()
     v_grid = params.v_grid()
     f = make_initial_condition(params.ic, x_grid, v_grid, params.epsilon)
+    spare = np.empty(f.values.shape) if params.collision.kind == "bgk" else None
     euler_reference = None
     if params.euler_reference:
         euler_reference = EulerReference(
@@ -778,7 +809,7 @@ def run(params: SimulationParams) -> Trajectory:
 
     n = params.n_steps
     for k in range(1, n + 1):
-        f, clipped, report = _advance(f, params)
+        f, clipped, report, spare = _advance(f, params, spare)
         f.time = k * params.dt
         observe_and_store(f, clipped, report)
         if stride > 0 and (k == n or k % stride == 0):

@@ -6,6 +6,10 @@ grids.split_parts.  Each kernel runs here at 1, 2 and 3 workers on a 32^2 x
 32^2 state: 3 workers split its 32 rows and the kick's 16 blocks (at one
 worker) unevenly.  Inputs come in C, Fortran and transposed layouts, and
 every output must equal the one-worker, C-layout output byte for byte.
+So must the output written into a given array: the stream and the kick
+into their input's own array, the Maxwellian product and the BGK update
+into a spare full of NaN, and a whole run into the buffers it owns.  An
+``out`` of the wrong shape, dtype or layout, or read-only, is refused.
 split_parts itself must run every part once, worker 0 on the calling
 thread, raise a worker's exception in the caller and leave no thread
 running.
@@ -13,6 +17,7 @@ running.
 
 import _thread
 import os
+import re
 import sys
 import threading
 import time
@@ -21,8 +26,9 @@ import numpy as np
 import pytest
 
 from quasikin import grids, vlasov
-from quasikin.collision import CollisionConfig, bgk_collide
-from quasikin.grids import PhaseField, TorusGrid, VelocityGrid, split_parts
+from quasikin.collision import CollisionConfig, bgk_collide, match_discrete_maxwellian
+from quasikin.grids import PhaseField, TorusGrid, VelocityGrid, moments, split_parts
+from quasikin.monge_ampere import solve_field
 from quasikin.vlasov import (
     SimulationParams,
     WellPreparedIC,
@@ -65,9 +71,12 @@ def _stream(f: PhaseField):
     return new.values, clipped
 
 
+def _acceleration(f: PhaseField) -> np.ndarray:
+    return np.random.default_rng(5).uniform(-40.0, 40.0, (2,) + f.x_grid.shape)
+
+
 def _kick(f: PhaseField):
-    acceleration = np.random.default_rng(5).uniform(-40.0, 40.0, (2,) + f.x_grid.shape)
-    new, clipped = advect_v(f, acceleration, 2.5e-3)
+    new, clipped = advect_v(f, _acceleration(f), 2.5e-3)
     return new.values, clipped
 
 
@@ -82,7 +91,22 @@ def _bgk(f: PhaseField):
     return bgk_collide(f, 0.05, 2.5e-3).values, None
 
 
-KERNELS = {"stream": _stream, "kick": _kick, "clip": _clip, "bgk": _bgk}
+MATCHED_NODES = 1000  # not a whole number of the product's 32-node blocks
+
+
+def _match_targets(f: PhaseField) -> tuple:
+    macro = moments(f)
+    m = macro.rho.size
+    targets = (macro.rho.reshape(m), macro.current.reshape(2, m).T, 2.0 * macro.e_kin.reshape(m))
+    return tuple(t[:MATCHED_NODES] for t in targets)
+
+
+def _maxwellian(f: PhaseField):
+    return match_discrete_maxwellian(f.v_grid, *_match_targets(f)), None
+
+
+KERNELS = {"stream": _stream, "kick": _kick, "clip": _clip, "bgk": _bgk,
+           "maxwellian": _maxwellian}
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +127,144 @@ def test_bytes_do_not_depend_on_the_worker_count(state, expected, name, workers,
     want_values, want_mass = expected[name]
     assert np.ascontiguousarray(values).tobytes() == want_values.tobytes()
     assert mass == want_mass
-    if name != "bgk":
+    if mass is not None:
         assert mass > 0.0
+
+
+def _in_place(kernel, f: PhaseField, *args):
+    """``kernel`` on a C-ordered copy of f's values, writing into that copy."""
+    values = np.ascontiguousarray(f.values).copy()
+    new, clipped = kernel(PhaseField(f.x_grid, f.v_grid, values, 0.0), *args, out=values)
+    assert new.values is values
+    return values, clipped
+
+
+def _stream_in_place(f: PhaseField):
+    return _in_place(advect_x, f, 2.5e-3)
+
+
+def _kick_in_place(f: PhaseField):
+    return _in_place(advect_v, f, _acceleration(f), 2.5e-3)
+
+
+def _maxwellian_into_spare(f: PhaseField):
+    spare = np.full((MATCHED_NODES,) + f.v_grid.shape, np.nan)
+    assert match_discrete_maxwellian(f.v_grid, *_match_targets(f), out=spare) is spare
+    return spare, None
+
+
+def _bgk_into_spare(f: PhaseField):
+    spare = np.full(f.values.shape, np.nan)
+    assert bgk_collide(f, 0.05, 2.5e-3, out=spare).values is spare
+    return spare, None
+
+
+INTO = {"stream": _stream_in_place, "kick": _kick_in_place,
+        "maxwellian": _maxwellian_into_spare, "bgk": _bgk_into_spare}
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("name", sorted(INTO))
+def test_writing_into_a_given_array_gives_the_allocating_bytes(state, expected, name, workers,
+                                                                monkeypatch):
+    monkeypatch.setattr(grids, "KERNEL_WORKERS", workers)
+    values, mass = INTO[name](state)
+    want_values, want_mass = expected[name]
+    assert values.tobytes() == want_values.tobytes()
+    assert mass == want_mass
+
+
+def _allocating_run(params: SimulationParams) -> np.ndarray:
+    """The final state of ``params`` stepped by kernels that each return a new state."""
+    f = make_initial_condition(params.ic, params.x_grid(), params.v_grid(), params.epsilon)
+    dt = params.dt
+    for _ in range(params.n_steps):
+        f, _ = advect_x(f, 0.5 * dt)
+        potential, _ = solve_field(f.x_grid, moments(f).rho, params.epsilon)
+        f, _ = advect_v(f, potential.grad, dt)
+        f = bgk_collide(f, params.collision.tau, dt)
+        f, _ = advect_x(f, 0.5 * dt)
+    return f.values
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_a_run_in_its_own_buffers_gives_the_allocating_bytes(workers, monkeypatch):
+    monkeypatch.setattr(grids, "KERNEL_WORKERS", workers)
+    params = SimulationParams(
+        dimension=2, n_x=8, n_v=24, v_max=3.7, epsilon=0.3, dt=5e-3, t_end=2e-2,
+        collision=CollisionConfig("bgk", tau=0.05),
+        ic=WellPreparedIC(u0_kind="taylor_green", u0_amplitude=0.25, delta=0.05,
+                          profile="cosine_xy", theta=0.2),
+    )
+    assert params.n_steps == 4  # so the state and the spare swap back and forth
+    final = run(params).final.values
+    assert final.tobytes() == _allocating_run(params).tobytes()
+
+
+def test_1d_kernels_write_into_a_given_array_too():
+    x_grid, v_grid = TorusGrid(1, 64), VelocityGrid(1, 128, 6.0)
+    ic = WellPreparedIC(u0_kind="constant", u0_amplitude=0.5, delta=0.3, theta=0.8)
+    f = make_initial_condition(ic, x_grid, v_grid, 0.1)
+    acceleration = np.sin(2.0 * np.pi * x_grid.axis_coords())[None]
+    macro = moments(f)
+    targets = (macro.rho, macro.current.T, 2.0 * macro.e_kin)
+    calls = [
+        (lambda g, out: advect_x(g, 2.5e-3, out=out)[0].values, True),
+        (lambda g, out: advect_v(g, acceleration, 2.5e-3, out=out)[0].values, True),
+        (lambda g, out: match_discrete_maxwellian(v_grid, *targets, out=out), False),
+        (lambda g, out: bgk_collide(g, 0.05, 2.5e-3, out=out).values, False),
+    ]
+    for call, in_place in calls:
+        want = call(f, None)
+        values = f.values.copy()
+        out = values if in_place else np.full(values.shape, np.nan)
+        assert call(PhaseField(x_grid, v_grid, values, 0.0), out) is out
+        assert out.tobytes() == want.tobytes()
+
+
+def _bad_outs(shape: tuple) -> dict:
+    return {
+        "shape": np.empty(shape[:-1] + (shape[-1] + 1,)),
+        "dtype": np.empty(shape, dtype=np.float32),
+        "layout": np.empty(shape[::-1]).T,
+        "read-only": np.lib.stride_tricks.as_strided(np.empty(shape), writeable=False),
+    }
+
+
+def _calls(f: PhaseField) -> dict:
+    acceleration = np.zeros((2,) + f.x_grid.shape)
+    targets = _match_targets(f)
+    return {
+        "stream": (lambda out: advect_x(f, 2.5e-3, out=out), f.values.shape),
+        "kick": (lambda out: advect_v(f, acceleration, 2.5e-3, out=out), f.values.shape),
+        "maxwellian": (lambda out: match_discrete_maxwellian(f.v_grid, *targets, out=out),
+                       (MATCHED_NODES,) + f.v_grid.shape),
+        "bgk": (lambda out: bgk_collide(f, 0.05, 2.5e-3, out=out), f.values.shape),
+    }
+
+
+@pytest.mark.parametrize("fault", ["shape", "dtype", "layout", "read-only"])
+@pytest.mark.parametrize("name", ["stream", "kick", "maxwellian", "bgk"])
+def test_a_bad_out_is_refused_naming_the_shape(state, name, fault):
+    call, shape = _calls(state)[name]
+    out = _bad_outs(shape)[fault]
+    before = out.copy()
+    with pytest.raises(ValueError, match=f"of shape {re.escape(str(shape))}"):
+        call(out)
+    assert out.tobytes() == before.tobytes()
+
+
+def test_bgk_refuses_an_out_that_shares_its_input(state):
+    # The input itself, or an array that overlaps half of it.
+    size = state.values.size
+    memory = np.empty(2 * size)
+    values = memory[:size].reshape(state.values.shape)
+    values[...] = state.values
+    f = PhaseField(state.x_grid, state.v_grid, values, 0.0)
+    for out in (values, memory[size // 2 : size // 2 + size].reshape(values.shape)):
+        with pytest.raises(ValueError, match="share memory"):
+            bgk_collide(f, 0.05, 2.5e-3, out=out)
+    assert values.tobytes() == np.ascontiguousarray(state.values).tobytes()
 
 
 def test_the_kernels_split_unevenly(state):
