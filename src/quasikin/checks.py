@@ -80,7 +80,7 @@ def check_maxwellian_matching() -> tuple[bool, str]:
     energy2 = (f.values * nodes[None, :] ** 2).sum(axis=vaxes) * f.v_grid.weight
     matched = match_discrete_maxwellian(
         f.v_grid, macro.rho, macro.current[0].reshape(-1, 1), energy2
-    )
+    )[:, 0]  # in 1-d the one factor is M itself
     m_rho = matched.sum(axis=vaxes) * f.v_grid.weight
     m_cur = (matched * nodes[None, :]).sum(axis=vaxes) * f.v_grid.weight
     m_e2 = (matched * nodes[None, :] ** 2).sum(axis=vaxes) * f.v_grid.weight

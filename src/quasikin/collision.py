@@ -10,7 +10,9 @@ kinetic energy) by construction rather than by accident of resolution:
   ``f <- exp(-dt/tau) f + (1 - exp(-dt/tau)) M``, which is unconditionally
   positivity-preserving.  Because the matched Maxwellian is the Gibbs
   minimizer of ``sum f log f`` under the moment constraints, the update also
-  never increases the discrete entropy.
+  never increases the discrete entropy.  The match returns M's per-axis
+  factors; the update forms M block by block as it blends, so f_new may
+  go over f.
 
 * ``boltzmann_collide_direct`` evaluates the gain/loss integral with the
   sigma-representation of post-collision velocities
@@ -145,24 +147,25 @@ def match_discrete_maxwellian(
     energy2: np.ndarray,
     rtol: float = 1e-13,
     max_iter: int = 60,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Discrete Maxwellians matching given grid moments exactly.
+    """Discrete Maxwellians matching given grid moments exactly, factored.
 
     Parameters are batched over nodes: ``rho`` (m,), ``current`` (m, d), and
-    ``energy2 = sum |xi|^2 f h_v^d`` (m,).  Returns values of shape
-    (m,) + v_grid.shape whose *discrete* moments reproduce the targets to
-    relative accuracy ``rtol``, in ``out`` if given (see
-    grids.output_array).  Nodes with rho = 0 get the zero function.
-    Raises CollisionMomentError (with the worst node index) for
-    non-realizable moments or a stalled parameter solve.
+    ``energy2 = sum |xi|^2 f h_v^d`` (m,).  Returns the per-axis factors,
+    shape (m, d, n_v): node k's Maxwellian is the outer product of
+    ``factors[k, 0]``, ..., ``factors[k, d-1]`` (in 1-d, ``factors[:, 0]``
+    is M itself), and its *discrete* moments reproduce the targets to
+    relative accuracy ``rtol``.  Nodes with rho = 0 get zero factors, so
+    the zero function.  Raises CollisionMomentError (with the worst node
+    index) for non-realizable moments or a stalled parameter solve.
 
     Newton runs on the natural parameters eta of M = exp(eta_0 + eta . xi +
     eta_{d+1} |xi|^2), the Lagrange multipliers of the moment constraints; the
     Jacobian is the Gram matrix of (1, xi, |xi|^2) under M, from per-axis power
-    sums.  The phase-space Maxwellian is formed once, at convergence: one
-    Newton step after the residual test passes, or at once if the residual
-    is already at rounding level.
+    sums.  Each iterate's factors are computed into one buffer, and the
+    returned ones are those at convergence: one Newton step after the
+    residual test passes, or at once if the residual is already at rounding
+    level.
     """
     d = v_grid.dimension
     rho = np.asarray(rho, dtype=float)
@@ -178,9 +181,7 @@ def match_discrete_maxwellian(
             raise CollisionMomentError(f"negative density at node {node}: {rho[node]:g}")
         active = rho > 0.0
         if not np.any(active):
-            values = output_array(out, (m,) + v_grid.shape)
-            values.fill(0.0)
-            return values
+            return np.zeros((m, d, v_grid.n_v))
         idx = np.nonzero(active)[0]
         r, j, e2 = rho[idx], current[idx], energy2[idx]
 
@@ -209,14 +210,15 @@ def match_discrete_maxwellian(
     eta[:, 0] = np.log(r) - 0.5 * d * np.log(2.0 * np.pi * width)
     eta[:, -1] = -0.5 / width
 
+    g = np.empty(x.shape)  # (m', d, n_v): each iterate's factors
     polished = False
     for it in range(max_iter):
-        g = eta[:, -1, None, None] * x
+        np.multiply(eta[:, -1, None, None], x, out=g)
         if it:  # eta_1..d start at 0, and adding 0 here changes no bit of M
             g += eta[:, 1 : 1 + d, None]
         g *= x
         g += eta[:, :1, None] / d
-        g = np.exp(g, out=g)  # (m', d, n_v)
+        np.exp(g, out=g)
         sums = (g.reshape(-1, v_grid.n_v) @ powers.T).reshape(len(r), d, 5)
         table = v_grid.weight * sums[:, 0]  # (m', 5): monomial moments in xi_1
         if d == 2:
@@ -246,25 +248,12 @@ def match_discrete_maxwellian(
         raise CollisionMomentError(
             f"moment matching stalled at node {bad}; relative residual {worst:g}"
         )
-    factors = g
-    if len(r) < m:  # zero factors at the rho = 0 nodes give their zero function
-        factors = np.zeros((m, d, v_grid.n_v))
-        factors[idx] = g
-    if d == 1 and out is None:
-        return factors[:, 0]
-    values = output_array(out, (m,) + v_grid.shape)
-    if d == 1:
-        values[...] = factors[:, 0]
-        return values
-    # The product in blocks of n_v nodes (n_v^3 values), split over threads.
-    n = v_grid.n_v
+    if len(r) == m:
+        return g
+    factors = np.zeros((m, d, v_grid.n_v))  # zero at the rho = 0 nodes
+    factors[idx] = g
+    return factors
 
-    def product(worker: int, part: int) -> None:
-        b = slice(part * n, (part + 1) * n)
-        np.multiply(factors[b, 0, :, None], factors[b, 1, None, :], out=values[b])
-
-    split_parts(product, -(-m // n))
-    return values
 
 def bgk_collide(
     f: PhaseField, tau: float, dt: float, out: np.ndarray | None = None
@@ -274,40 +263,46 @@ def bgk_collide(
     f_new = exp(-dt/tau) f + (1 - exp(-dt/tau)) M*, which preserves the
     discrete invariants to the Maxwellian matching tolerance, preserves
     positivity for any dt, and does not increase sum f log f.  f_new goes
-    into ``out`` (see grids.output_array).  M* is written there before the
-    blend reads f, so ``out`` must not share memory with ``f.values``.
+    into ``out`` (see grids.output_array), which may be ``f.values`` itself
+    but must not otherwise share memory with it: M*'s factors come from the
+    moments of f before anything is written, and M* is formed in worker
+    scratch and blended a block of n_v nodes at a time over worker threads
+    (the whole state in 1-d, whose factor is M* itself), each block of f
+    read before its block of f_new is written.
     """
     if not 0.0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if not 0.0 <= dt < np.inf:
         raise ValueError(f"dt must be nonnegative and finite, got {dt}")
     values = output_array(out, f.values.shape)
-    if np.may_share_memory(values, f.values):
-        raise ValueError("out must not share memory with f.values")
+    if values is not f.values and np.may_share_memory(values, f.values):
+        raise ValueError("out must be f.values itself or share no memory with it")
     macro = moments(f)
     d = f.x_grid.dimension
     m = macro.rho.size
     rho = macro.rho.reshape(m)
     cur = macro.current.reshape(d, m).T
     e2 = 2.0 * macro.e_kin.reshape(m)
+    factors = match_discrete_maxwellian(f.v_grid, rho, cur, e2)
     decay = float(np.exp(-dt / tau))
-    if d == 1:  # the Maxwellian is the match's own small array
-        np.multiply(match_discrete_maxwellian(f.v_grid, rho, cur, e2), 1.0 - decay, out=values)
-        values += decay * f.values
-        return PhaseField(f.x_grid, f.v_grid, values, f.time)
-    # The Maxwellian goes into out and the blend into it in place, so the
-    # phase-space arrays are f and out alone: one spatial row at a time,
-    # split over worker threads, each with its own row of scratch.
-    match_discrete_maxwellian(f.v_grid, rho, cur, e2, out=values.reshape((m,) + f.v_grid.shape))
-    out_rows = values.reshape(f.x_grid.n_x, -1)
-    f_rows = f.values.reshape(out_rows.shape)
-    scratch = np.empty((kernel_workers(len(out_rows)), out_rows.shape[1]))
+    block = m if d == 1 else f.v_grid.n_v  # nodes per part
+    parts = -(-m // block)
+    if d == 2:
+        scratch = np.empty((kernel_workers(parts), block) + f.v_grid.shape)
+    f_nodes = f.values.reshape((m,) + f.v_grid.shape)
+    out_nodes = values.reshape(f_nodes.shape)
 
-    def blend(worker: int, i: int) -> None:
-        out_rows[i] *= 1.0 - decay
-        out_rows[i] += np.multiply(decay, f_rows[i], out=scratch[worker])
+    def blend(worker: int, part: int) -> None:
+        b = slice(part * block, (part + 1) * block)
+        maxw = factors[b, 0]
+        if d == 2:
+            maxw = np.multiply(maxw[:, :, None], factors[b, 1, None, :],
+                               out=scratch[worker, : len(maxw)])
+        maxw *= 1.0 - decay
+        np.multiply(f_nodes[b], decay, out=out_nodes[b])
+        out_nodes[b] += maxw
 
-    split_parts(blend, len(out_rows))
+    split_parts(blend, parts)
     return PhaseField(f.x_grid, f.v_grid, values, f.time)
 
 

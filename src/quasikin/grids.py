@@ -28,9 +28,9 @@ product and blend) split their rows or node blocks over KERNEL_WORKERS
 threads of their own, one per CPU the process may run on, with
 ``split_parts``.  Each part does the operations one thread would, so their
 bytes do not depend on that count (tests/test_kernel_threads.py).  The
-stream, the kick, the BGK update and its Maxwellian take an ``out`` array,
-checked by ``output_array``; the stream and the kick may write into their
-input's own array, so a run advances its state in buffers it allocates once.
+stream, the kick and the BGK update take an ``out`` array, checked by
+``output_array``, that may be their input's own, so a run advances its
+state inside the one array it starts with.
 
 Every cached operator follows one rule, ``cached_operator``: an LRU cache
 of OPERATOR_CACHE_SIZE entries per builder, whose results are read-only,

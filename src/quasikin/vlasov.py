@@ -44,8 +44,8 @@ A 2-d state's stream, kick and clip split their rows, slabs or node
 blocks over grids.KERNEL_WORKERS threads (grids.split_parts).  Each part
 does the floating-point operations one thread would, so the output is the
 same bytes at any thread count; a 1-d state stays on the calling thread.
-Both advections write into an ``out`` array that may be the input's own,
-so a run steps inside the state arrays it allocated once (see run).
+Both advections and the BGK update write into an ``out`` array that may be
+the input's own, so a run steps inside its initial state's array (see run).
 
 Diagnostics are evaluated on the end-of-step state with a *fresh* field
 solve at that time; mixing the half-step potential with end-step moments
@@ -605,10 +605,11 @@ def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float, out: np.ndarray) -
     whole-cell shifts are built once per kick (_shift_coefficients), so a
     block's operators are one matrix product: its rows of coef times the
     basis.  The blocks are split over worker threads, and the workers'
-    blocks together hold at most KICK_SCRATCH_BYTES; each worker has two
-    block buffers, one for a block's operators and one for its half-kicked
-    slabs.  A block's first product reads its input into the half-kicked
-    slabs before the second writes its output.
+    blocks together hold at most KICK_SCRATCH_BYTES: the fewest blocks
+    that fit, evened out, so none holds more nodes than the state.  Each
+    worker has two block buffers, one for a block's operators and one for
+    its half-kicked slabs.  A block's first product reads its input into
+    the half-kicked slabs before the second writes its output.
     """
     n = values.shape[-1]
     src = np.ascontiguousarray(values).reshape(-1, n, n)
@@ -616,7 +617,8 @@ def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float, out: np.ndarray) -
     coef1, basis1 = _shift_coefficients(sigma[0].reshape(-1), n, h, transposed=False)
     coef2, basis2_t = _shift_coefficients(sigma[1].reshape(-1), n, h, transposed=True)
     block = max(1, KICK_SCRATCH_BYTES // (kernel_workers(len(src)) * n * n * values.itemsize))
-    blocks = -(-len(src) // block)
+    blocks = -(-len(src) // block)  # the fewest that fit
+    block = -(-len(src) // blocks)  # nodes in each, evened out
     scratch = np.empty((kernel_workers(blocks), 2, block, n, n))
 
     def kick(worker: int, b: int) -> None:
@@ -708,13 +710,13 @@ def observe(
 
 
 def _advance(
-    f: PhaseField, params: SimulationParams, spare: np.ndarray | None
-) -> tuple[PhaseField, float, FieldSolveReport | None, np.ndarray | None]:
-    """One step, written over ``f.values``; returns the new state, the mass
-    added by clipping, the half-step field report and the new spare.
+    f: PhaseField, params: SimulationParams
+) -> tuple[PhaseField, float, FieldSolveReport | None]:
+    """One step, written over ``f.values``; returns the new state (in that
+    array), the mass added by clipping and the half-step field report.
 
-    The stream and the kick write into the state's own array.  The BGK
-    update writes into ``spare``, after which the two arrays swap roles.
+    The stream, the kick and the BGK update each write into the state's
+    own array.
     """
     dt = params.dt
     f, clipped = advect_x(f, 0.5 * dt, out=f.values)
@@ -727,10 +729,10 @@ def _advance(
         f, c = advect_v(f, potential.grad, dt, out=f.values)
         clipped += c
     if params.collision.kind == "bgk":
-        f, spare = bgk_collide(f, params.collision.tau, dt, out=spare), f.values
+        f = bgk_collide(f, params.collision.tau, dt, out=f.values)
     f, c = advect_x(f, 0.5 * dt, out=f.values)
     clipped += c
-    return f, clipped, report, spare
+    return f, clipped, report
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +750,8 @@ class Trajectory:
     step 0, at every multiple of the stride and at the last step.  With a
     stride of 0 it holds only the final state (the ``final`` object itself,
     the initial state for a zero-step run).  ``snapshot_steps`` gives the
-    step of each snapshot.  The run overwrote its state arrays every step,
-    and ``final.values`` is one of them, not a copy.
+    step of each snapshot.  The run overwrote its state array every step,
+    and ``final.values`` is that array, not a copy.
     """
 
     params: SimulationParams
@@ -772,16 +774,13 @@ def run(params: SimulationParams) -> Trajectory:
     ``params.snapshot_stride`` (see Trajectory); a stride of 0 copies no
     state.  Deterministic: identical params give bit-identical trajectories.
 
-    The run allocates its state arrays once and overwrites them every step
-    (see _advance): the initial state's array, plus a spare with BGK.  So
-    a run holds one phase-space state through each step, or two with BGK,
-    and no step after the first allocates a state.  ``final`` holds one of
-    those arrays.
+    The run overwrites the initial state's array every step (see
+    _advance), so it holds one phase-space state through each step, BGK
+    or not, and no step allocates a state.  ``final`` holds that array.
     """
     x_grid = params.x_grid()
     v_grid = params.v_grid()
     f = make_initial_condition(params.ic, x_grid, v_grid, params.epsilon)
-    spare = np.empty(f.values.shape) if params.collision.kind == "bgk" else None
     euler_reference = None
     if params.euler_reference:
         euler_reference = EulerReference(
@@ -809,7 +808,7 @@ def run(params: SimulationParams) -> Trajectory:
 
     n = params.n_steps
     for k in range(1, n + 1):
-        f, clipped, report, spare = _advance(f, params, spare)
+        f, clipped, report = _advance(f, params)
         f.time = k * params.dt
         observe_and_store(f, clipped, report)
         if stride > 0 and (k == n or k % stride == 0):

@@ -31,6 +31,14 @@ def entropy(f: PhaseField) -> float:
     return float(xlogy(f.values, f.values).sum()) * f.phase_volume
 
 
+def _maxwellian(factors: np.ndarray) -> np.ndarray:
+    """M from the match's per-axis factors (nodes, d, n_v): the one factor
+    in 1-d, the outer product of the two in 2-d."""
+    if factors.shape[1] == 1:
+        return factors[:, 0]
+    return factors[:, 0, :, None] * factors[:, 1, None, :]
+
+
 def bimodal_field(x_grid: TorusGrid, v_grid: VelocityGrid) -> PhaseField:
     """Two counter-streaming beams with a gentle spatial density ripple."""
     x = x_grid.axis_coords()
@@ -109,7 +117,7 @@ class TestDiscreteMaxwellianMatching:
         v_grid = VelocityGrid(1, 64, 7.0)
         current = np.array([[rho * u]])
         energy2 = np.array([rho * (theta + u * u)])
-        vals = match_discrete_maxwellian(v_grid, np.array([rho]), current, energy2)
+        vals = _maxwellian(match_discrete_maxwellian(v_grid, np.array([rho]), current, energy2))
         w = v_grid.weight
         nodes = v_grid.axis_nodes()
         assert vals.shape == (1, 64)
@@ -126,7 +134,7 @@ class TestDiscreteMaxwellianMatching:
         rho = np.array([f.sum() * w])
         cur = np.array([[(mesh[0] * f).sum() * w, (mesh[1] * f).sum() * w]])
         e2 = np.array([((mesh[0] ** 2 + mesh[1] ** 2) * f).sum() * w])
-        matched = match_discrete_maxwellian(v_grid, rho, cur, e2)[0]
+        matched = _maxwellian(match_discrete_maxwellian(v_grid, rho, cur, e2))[0]
         assert np.max(np.abs(matched - f)) <= 1e-10 * f.max()
 
     def test_rejects_delta_concentration(self):
@@ -155,9 +163,11 @@ class TestDiscreteMaxwellianMatching:
         rho = np.array([1.2, 0.0, 0.7])
         current = np.array([[0.3], [0.0], [-0.1]])
         energy2 = np.array([0.9, 0.0, 0.5])
-        vals = match_discrete_maxwellian(v_grid, rho, current, energy2)
+        vals = _maxwellian(match_discrete_maxwellian(v_grid, rho, current, energy2))
         assert not vals[1].any()
-        alone = match_discrete_maxwellian(v_grid, rho[[0, 2]], current[[0, 2]], energy2[[0, 2]])
+        alone = _maxwellian(
+            match_discrete_maxwellian(v_grid, rho[[0, 2]], current[[0, 2]], energy2[[0, 2]])
+        )
         assert np.array_equal(vals[[0, 2]], alone)
 
     def test_matches_a_state_colder_than_the_node_spacing(self):
@@ -168,7 +178,9 @@ class TestDiscreteMaxwellianMatching:
         vals[:, 40], vals[:, 41] = 1.0, 1e-6
         f = PhaseField(TorusGrid(1, 4), v_grid, vals)
         macro = moments(f)
-        matched = match_discrete_maxwellian(v_grid, macro.rho, macro.current.T, 2.0 * macro.e_kin)
+        matched = _maxwellian(
+            match_discrete_maxwellian(v_grid, macro.rho, macro.current.T, 2.0 * macro.e_kin)
+        )
         again = moments(PhaseField(f.x_grid, v_grid, matched))
         assert np.allclose(again.rho, macro.rho, rtol=1e-12, atol=0.0)
         assert np.allclose(again.current, macro.current, rtol=1e-12, atol=0.0)
@@ -218,12 +230,12 @@ class TestBgkRelaxation:
         # One step leaves exactly exp(-dt/tau) of the non-equilibrium part.
         macro = moments(self.f)
         m = self.f.x_grid.n_x
-        maxw = match_discrete_maxwellian(
+        maxw = _maxwellian(match_discrete_maxwellian(
             self.f.v_grid,
             macro.rho.reshape(m),
             macro.current[0].reshape(m, 1),
             2.0 * macro.e_kin.reshape(m),
-        ).reshape(self.f.values.shape)
+        )).reshape(self.f.values.shape)
         dt, tau = 0.07, 0.2
         g = bgk_collide(self.f, tau=tau, dt=dt)
         expected = maxw + np.exp(-dt / tau) * (self.f.values - maxw)
@@ -316,9 +328,9 @@ class TestDirectQuadrature:
         cur = np.stack(
             [macro.current[a].reshape(m) for a in range(2)], axis=1
         )
-        maxw = match_discrete_maxwellian(
+        maxw = _maxwellian(match_discrete_maxwellian(
             self.v_grid, macro.rho.reshape(m), cur, 2.0 * macro.e_kin.reshape(m)
-        ).reshape(self.f.values.shape)
+        )).reshape(self.f.values.shape)
         overlap = float(((maxw - self.f.values) * q).sum()) * self.f.phase_volume
         assert overlap > 0.0
 

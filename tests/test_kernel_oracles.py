@@ -38,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_banded
 
-from quasikin import collision
+from quasikin import collision, grids
 from quasikin.collision import (
     DIRECT_MAX_NV,
     CollisionConfig,
@@ -646,6 +646,25 @@ class TestKickBlocks:
         assert peak < 12 * 2**20
         assert peak < 25.4 * 2**20
 
+    def test_scratch_is_no_larger_than_the_state(self):
+        # On 8^2 x 24^2 at one worker, one block of KICK_SCRATCH_BYTES holds
+        # 113 nodes; a kick over its input must size its two block buffers
+        # to the state's 64 nodes (2 states), not to 2 x 113 (3.5 states).
+        # Beside them it allocates the per-node coefficients, 0.05 of a state.
+        f = _state(2, 8, 24, seed=1)
+        sigma = np.random.default_rng(1).uniform(-1.5, 1.5, (2, 8, 8))
+        assert vlasov.KICK_SCRATCH_BYTES // f.values[0, 0].nbytes == 113
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grids, "KERNEL_WORKERS", 1)
+            advect_v(f, sigma, f.v_grid.h_v, out=f.values)  # build the cached spline bases
+            tracemalloc.start()
+            try:
+                advect_v(f, sigma, f.v_grid.h_v, out=f.values)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.25 * f.values.nbytes
+
     # A group larger than one block goes in blocks of even size whose
     # products stay within KICK_BLOCK_MULADDS, so OpenBLAS keeps each on the
     # calling thread.  A zero field, as in every kick of equilibrium_d1, is
@@ -1032,6 +1051,14 @@ def _failure(call):
     return None
 
 
+def _maxwellian(factors: np.ndarray) -> np.ndarray:
+    """M from the match's per-axis factors (nodes, d, n_v): the one factor
+    in 1-d, the outer product of the two in 2-d."""
+    if factors.shape[1] == 1:
+        return factors[:, 0]
+    return factors[:, 0, :, None] * factors[:, 1, None, :]
+
+
 def _check_target_moments(f: PhaseField, targets, new: np.ndarray) -> None:
     # Empty nodes get the zero function exactly.
     empty = targets[0] == 0.0
@@ -1069,7 +1096,7 @@ class TestMaxwellianMatchMatchesOracle:
             assert again.split(";")[0] == failed.split(";")[0]
             return
         assert again is None, again
-        new = match_discrete_maxwellian(f.v_grid, *targets)
+        new = _maxwellian(match_discrete_maxwellian(f.v_grid, *targets))
         if failed is None:
             old = oracle_match_discrete_maxwellian(f.v_grid, *targets, rtol=REFERENCE_RTOL)
             _close(new, old)
@@ -1086,7 +1113,8 @@ class TestMaxwellianMatchMatchesOracle:
         # about |u|^2 / theta of its maximum, so two correct solves differ by
         # up to 1e-12 of max|M| here.
         targets = _targets(f)
-        _check_target_moments(f, targets, match_discrete_maxwellian(f.v_grid, *targets))
+        new = _maxwellian(match_discrete_maxwellian(f.v_grid, *targets))
+        _check_target_moments(f, targets, new)
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_same_failures_on_the_same_nodes(self, dimension):

@@ -7,8 +7,10 @@ grids.split_parts.  Each kernel runs here at 1, 2 and 3 workers on a 32^2 x
 worker) unevenly.  Inputs come in C, Fortran and transposed layouts, and
 every output must equal the one-worker, C-layout output byte for byte.
 So must the output written into a given array: the stream and the kick
-into their input's own array, the Maxwellian product and the BGK update
-into a spare full of NaN, and a whole run into the buffers it owns.  An
+into their input's own array, the BGK update into a spare full of NaN,
+and a whole run into the one array it owns.  The BGK update over its
+input is checked on states whose node counts are not whole numbers of
+its n_v-node blocks, against the blend formula itself.  An
 ``out`` of the wrong shape, dtype or layout, or read-only, is refused.
 split_parts itself must run every part once, worker 0 on the calling
 thread, raise a worker's exception in the caller and leave no thread
@@ -91,7 +93,7 @@ def _bgk(f: PhaseField):
     return bgk_collide(f, 0.05, 2.5e-3).values, None
 
 
-MATCHED_NODES = 1000  # not a whole number of the product's 32-node blocks
+MATCHED_NODES = 1000  # not a whole number of n_v-node blocks
 
 
 def _match_targets(f: PhaseField) -> tuple:
@@ -101,8 +103,16 @@ def _match_targets(f: PhaseField) -> tuple:
     return tuple(t[:MATCHED_NODES] for t in targets)
 
 
+def _outer(factors: np.ndarray) -> np.ndarray:
+    """M from the match's per-axis factors (nodes, d, n_v): the one factor
+    in 1-d, the outer product of the two in 2-d."""
+    if factors.shape[1] == 1:
+        return factors[:, 0]
+    return factors[:, 0, :, None] * factors[:, 1, None, :]
+
+
 def _maxwellian(f: PhaseField):
-    return match_discrete_maxwellian(f.v_grid, *_match_targets(f)), None
+    return _outer(match_discrete_maxwellian(f.v_grid, *_match_targets(f))), None
 
 
 KERNELS = {"stream": _stream, "kick": _kick, "clip": _clip, "bgk": _bgk,
@@ -147,20 +157,20 @@ def _kick_in_place(f: PhaseField):
     return _in_place(advect_v, f, _acceleration(f), 2.5e-3)
 
 
-def _maxwellian_into_spare(f: PhaseField):
-    spare = np.full((MATCHED_NODES,) + f.v_grid.shape, np.nan)
-    assert match_discrete_maxwellian(f.v_grid, *_match_targets(f), out=spare) is spare
-    return spare, None
-
-
 def _bgk_into_spare(f: PhaseField):
     spare = np.full(f.values.shape, np.nan)
     assert bgk_collide(f, 0.05, 2.5e-3, out=spare).values is spare
     return spare, None
 
 
-INTO = {"stream": _stream_in_place, "kick": _kick_in_place,
-        "maxwellian": _maxwellian_into_spare, "bgk": _bgk_into_spare}
+def _bgk_in_place(f: PhaseField) -> np.ndarray:
+    values = np.ascontiguousarray(f.values).copy()
+    new = bgk_collide(PhaseField(f.x_grid, f.v_grid, values, 0.0), 0.05, 2.5e-3, out=values)
+    assert new.values is values
+    return values
+
+
+INTO = {"stream": _stream_in_place, "kick": _kick_in_place, "bgk": _bgk_into_spare}
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -196,7 +206,7 @@ def test_a_run_in_its_own_buffers_gives_the_allocating_bytes(workers, monkeypatc
         ic=WellPreparedIC(u0_kind="taylor_green", u0_amplitude=0.25, delta=0.05,
                           profile="cosine_xy", theta=0.2),
     )
-    assert params.n_steps == 4  # so the state and the spare swap back and forth
+    assert params.n_steps == 4  # each step overwrites the last one's state
     final = run(params).final.values
     assert final.tobytes() == _allocating_run(params).tobytes()
 
@@ -206,12 +216,9 @@ def test_1d_kernels_write_into_a_given_array_too():
     ic = WellPreparedIC(u0_kind="constant", u0_amplitude=0.5, delta=0.3, theta=0.8)
     f = make_initial_condition(ic, x_grid, v_grid, 0.1)
     acceleration = np.sin(2.0 * np.pi * x_grid.axis_coords())[None]
-    macro = moments(f)
-    targets = (macro.rho, macro.current.T, 2.0 * macro.e_kin)
     calls = [
         (lambda g, out: advect_x(g, 2.5e-3, out=out)[0].values, True),
         (lambda g, out: advect_v(g, acceleration, 2.5e-3, out=out)[0].values, True),
-        (lambda g, out: match_discrete_maxwellian(v_grid, *targets, out=out), False),
         (lambda g, out: bgk_collide(g, 0.05, 2.5e-3, out=out).values, False),
     ]
     for call, in_place in calls:
@@ -233,18 +240,15 @@ def _bad_outs(shape: tuple) -> dict:
 
 def _calls(f: PhaseField) -> dict:
     acceleration = np.zeros((2,) + f.x_grid.shape)
-    targets = _match_targets(f)
     return {
         "stream": (lambda out: advect_x(f, 2.5e-3, out=out), f.values.shape),
         "kick": (lambda out: advect_v(f, acceleration, 2.5e-3, out=out), f.values.shape),
-        "maxwellian": (lambda out: match_discrete_maxwellian(f.v_grid, *targets, out=out),
-                       (MATCHED_NODES,) + f.v_grid.shape),
         "bgk": (lambda out: bgk_collide(f, 0.05, 2.5e-3, out=out), f.values.shape),
     }
 
 
 @pytest.mark.parametrize("fault", ["shape", "dtype", "layout", "read-only"])
-@pytest.mark.parametrize("name", ["stream", "kick", "maxwellian", "bgk"])
+@pytest.mark.parametrize("name", ["stream", "kick", "bgk"])
 def test_a_bad_out_is_refused_naming_the_shape(state, name, fault):
     call, shape = _calls(state)[name]
     out = _bad_outs(shape)[fault]
@@ -255,16 +259,58 @@ def test_a_bad_out_is_refused_naming_the_shape(state, name, fault):
 
 
 def test_bgk_refuses_an_out_that_shares_its_input(state):
-    # The input itself, or an array that overlaps half of it.
+    # An array that overlaps half of the input is refused; the input itself
+    # is allowed, and gets the allocating call's bytes.
     size = state.values.size
     memory = np.empty(2 * size)
     values = memory[:size].reshape(state.values.shape)
     values[...] = state.values
     f = PhaseField(state.x_grid, state.v_grid, values, 0.0)
-    for out in (values, memory[size // 2 : size // 2 + size].reshape(values.shape)):
-        with pytest.raises(ValueError, match="share memory"):
-            bgk_collide(f, 0.05, 2.5e-3, out=out)
+    with pytest.raises(ValueError, match="share no memory"):
+        bgk_collide(f, 0.05, 2.5e-3, out=memory[size // 2 : size // 2 + size].reshape(values.shape))
     assert values.tobytes() == np.ascontiguousarray(state.values).tobytes()
+    want = bgk_collide(f, 0.05, 2.5e-3).values
+    assert bgk_collide(f, 0.05, 2.5e-3, out=values).values is values
+    assert values.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["1d", "2d"])
+def uneven_state(request) -> PhaseField:
+    """A matchable state whose node count is not a whole number of n_v-node
+    blocks: 40 nodes with n_v = 64 in 1-d (one block), 12^2 = 144 nodes
+    with n_v = 32 in 2-d (4.5 blocks)."""
+    d = request.param
+    x_grid = TorusGrid(d, 40 if d == 1 else 12)
+    v_grid = VelocityGrid(d, 64 if d == 1 else 32, 4.0)
+    ic = WellPreparedIC(u0_kind="taylor_green" if d == 2 else "constant", u0_amplitude=0.4,
+                        delta=0.2, profile="random", theta=0.3, seed=7)
+    values = make_initial_condition(ic, x_grid, v_grid, 0.1).values
+    values *= 1.0 + 0.5 * np.random.default_rng(23).standard_normal(values.shape) ** 2
+    return PhaseField(x_grid, v_grid, values, 0.0)
+
+
+def _blend_formula(f: PhaseField) -> np.ndarray:
+    """(1 - decay) M + decay f over the whole state at once, with the
+    roundings of the blocked update: M, then each product, then the sum."""
+    macro = moments(f)
+    m = macro.rho.size
+    d = f.dimension
+    factors = match_discrete_maxwellian(
+        f.v_grid, macro.rho.reshape(m), macro.current.reshape(d, m).T, 2.0 * macro.e_kin.reshape(m)
+    )
+    decay = float(np.exp(-2.5e-3 / 0.05))
+    maxw = _outer(factors).reshape(f.values.shape)
+    return maxw * (1.0 - decay) + f.values * decay
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_bgk_over_its_input_gives_the_allocating_bytes(uneven_state, workers, monkeypatch):
+    monkeypatch.setattr(grids, "KERNEL_WORKERS", workers)
+    f = uneven_state
+    assert f.dimension == 1 or (f.x_grid.n_x**2) % f.v_grid.n_v
+    want = _blend_formula(f)
+    assert bgk_collide(f, 0.05, 2.5e-3).values.tobytes() == want.tobytes()
+    assert _bgk_in_place(f).tobytes() == want.tobytes()
 
 
 def test_the_kernels_split_unevenly(state):
