@@ -11,8 +11,8 @@ kinetic energy) by construction rather than by accident of resolution:
   positivity-preserving.  Because the matched Maxwellian is the Gibbs
   minimizer of ``sum f log f`` under the moment constraints, the update also
   never increases the discrete entropy.  The match returns M's per-axis
-  factors; the update forms M block by block as it blends, so f_new may
-  go over f.
+  factors; the update forms M block by block as it blends it into f
+  itself (``in_place``) or into a copy of f.
 
 * ``boltzmann_collide_direct`` evaluates the gain/loss integral with the
   sigma-representation of post-collision velocities
@@ -46,8 +46,8 @@ from .grids import (
     cached_operator,
     kernel_workers,
     moments,
-    output_array,
     split_parts,
+    state_to_write,
 )
 
 __all__ = [
@@ -255,28 +255,23 @@ def match_discrete_maxwellian(
     return factors
 
 
-def bgk_collide(
-    f: PhaseField, tau: float, dt: float, out: np.ndarray | None = None
-) -> PhaseField:
+def bgk_collide(f: PhaseField, tau: float, dt: float, *, in_place: bool = False) -> PhaseField:
     """Exponential BGK update toward the discrete-moment-matched Maxwellian.
 
     f_new = exp(-dt/tau) f + (1 - exp(-dt/tau)) M*, which preserves the
     discrete invariants to the Maxwellian matching tolerance, preserves
-    positivity for any dt, and does not increase sum f log f.  f_new goes
-    into ``out`` (see grids.output_array), which may be ``f.values`` itself
-    but must not otherwise share memory with it: M*'s factors come from the
+    positivity for any dt, and does not increase sum f log f.  f_new is
+    written over ``f`` with ``in_place``, else over a copy (see
+    grids.state_to_write), which is returned: M*'s factors come from the
     moments of f before anything is written, and M* is formed in worker
-    scratch and blended a block of n_v nodes at a time over worker threads
-    (the whole state in 1-d, whose factor is M* itself), each block of f
-    read before its block of f_new is written.
+    scratch and blended into f a block of n_v nodes at a time over worker
+    threads (the whole state in 1-d, whose factor is M* itself).
     """
     if not 0.0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if not 0.0 <= dt < np.inf:
         raise ValueError(f"dt must be nonnegative and finite, got {dt}")
-    values = output_array(out, f.values.shape)
-    if values is not f.values and np.may_share_memory(values, f.values):
-        raise ValueError("out must be f.values itself or share no memory with it")
+    f = state_to_write(f, in_place)
     macro = moments(f)
     d = f.x_grid.dimension
     m = macro.rho.size
@@ -289,8 +284,7 @@ def bgk_collide(
     parts = -(-m // block)
     if d == 2:
         scratch = np.empty((kernel_workers(parts), block) + f.v_grid.shape)
-    f_nodes = f.values.reshape((m,) + f.v_grid.shape)
-    out_nodes = values.reshape(f_nodes.shape)
+    nodes = f.values.reshape((m,) + f.v_grid.shape)
 
     def blend(worker: int, part: int) -> None:
         b = slice(part * block, (part + 1) * block)
@@ -299,11 +293,11 @@ def bgk_collide(
             maxw = np.multiply(maxw[:, :, None], factors[b, 1, None, :],
                                out=scratch[worker, : len(maxw)])
         maxw *= 1.0 - decay
-        np.multiply(f_nodes[b], decay, out=out_nodes[b])
-        out_nodes[b] += maxw
+        nodes[b] *= decay
+        nodes[b] += maxw
 
     split_parts(blend, parts)
-    return PhaseField(f.x_grid, f.v_grid, values, f.time)
+    return f
 
 
 # ---------------------------------------------------------------------------

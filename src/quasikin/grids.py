@@ -28,9 +28,10 @@ product and blend) split their rows or node blocks over KERNEL_WORKERS
 threads of their own, one per CPU the process may run on, with
 ``split_parts``.  Each part does the operations one thread would, so their
 bytes do not depend on that count (tests/test_kernel_threads.py).  The
-stream, the kick and the BGK update take an ``out`` array, checked by
-``output_array``, that may be their input's own, so a run advances its
-state inside the one array it starts with.
+stream, the kick and the BGK update write over the state that
+``state_to_write`` gives them: with ``in_place`` their input itself, so a
+run advances its state inside the one array it starts with, else a
+C-ordered copy of it.
 
 Every cached operator follows one rule, ``cached_operator``: an LRU cache
 of OPERATOR_CACHE_SIZE entries per builder, whose results are read-only,
@@ -173,35 +174,6 @@ def kernel_workers(parts: int) -> int:
     return max(1, min(KERNEL_WORKERS, parts))
 
 
-def output_array(out, shape: tuple[int, ...]) -> np.ndarray:
-    """A kernel's output: a new array of ``shape`` if ``out`` is None, else ``out``.
-
-    ``out`` must be a writeable, C-contiguous float64 array of exactly that
-    shape.  The kernels write through reshaped views of it, and reshaping
-    any other layout gives a copy that the result would silently land in,
-    so such an ``out`` raises ValueError naming the expected shape.
-    """
-    if out is None:
-        return np.empty(shape)
-    if not (
-        isinstance(out, np.ndarray)
-        and out.shape == shape
-        and out.dtype == np.float64
-        and out.flags.c_contiguous
-        and out.flags.writeable
-    ):
-        got = (
-            f"shape {out.shape}, dtype {out.dtype}, "
-            f"C-contiguous {out.flags.c_contiguous}, writeable {out.flags.writeable}"
-            if isinstance(out, np.ndarray)
-            else type(out).__name__
-        )
-        raise ValueError(
-            f"out must be a writeable, C-contiguous float64 array of shape {shape}; got {got}"
-        )
-    return out
-
-
 def split_parts(work, parts: int) -> None:
     """Call ``work(worker, part)`` for every part in 0..parts-1, on
     kernel_workers(parts) threads.
@@ -342,6 +314,28 @@ class PhaseField:
 
     def copy(self) -> "PhaseField":
         return PhaseField(self.x_grid, self.v_grid, self.values.copy(), self.time)
+
+
+def state_to_write(f: PhaseField, in_place: bool) -> PhaseField:
+    """The state a step kernel writes over: ``f`` itself if ``in_place``,
+    else a new state holding a C-ordered float64 copy of ``f.values``.
+
+    The kernels write through reshaped views of the values, and reshaping
+    any other layout gives a copy that the result would silently land in.
+    So ``in_place`` on values that are not a writeable, C-contiguous
+    float64 array raises ValueError naming their dtype, layout and
+    writeable flag, before anything is written.
+    """
+    values = f.values
+    if not in_place:
+        return PhaseField(f.x_grid, f.v_grid, np.array(values, np.float64, order="C"), f.time)
+    if not (values.dtype == np.float64 and values.flags.c_contiguous and values.flags.writeable):
+        raise ValueError(
+            "in_place needs f.values to be a writeable, C-contiguous float64 array; "
+            f"got dtype {values.dtype}, C-contiguous {values.flags.c_contiguous}, "
+            f"writeable {values.flags.writeable}"
+        )
+    return f
 
 
 @dataclass(eq=False)

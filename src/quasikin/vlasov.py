@@ -44,8 +44,9 @@ A 2-d state's stream, kick and clip split their rows, slabs or node
 blocks over grids.KERNEL_WORKERS threads (grids.split_parts).  Each part
 does the floating-point operations one thread would, so the output is the
 same bytes at any thread count; a 1-d state stays on the calling thread.
-Both advections and the BGK update write into an ``out`` array that may be
-the input's own, so a run steps inside its initial state's array (see run).
+Both advections and the BGK update write over one state: their input
+with ``in_place=True``, so a run steps inside its initial state's array
+(see run), and otherwise a new C-ordered copy of it.
 
 Diagnostics are evaluated on the end-of-step state with a *fresh* field
 solve at that time; mixing the half-step potential with end-step moments
@@ -71,11 +72,11 @@ from .grids import (
     cached_operator,
     kernel_workers,
     moments,
-    output_array,
     spectral_divergence,
     stress_moments,
     random_bandlimited_field,
     split_parts,
+    state_to_write,
 )
 from .monge_ampere import FieldSolveReport, solve_field
 
@@ -377,16 +378,16 @@ def _stream_operators(x_grid: TorusGrid, v_grid: VelocityGrid, dt: float) -> np.
     return np.ascontiguousarray(kernel[(i[:, None] - i) % x_grid.n_x].transpose(2, 0, 1))
 
 
-def _stream_2d(values: np.ndarray, ops: np.ndarray, out: np.ndarray) -> None:
-    """Stream a 2-d state (x1, x2, v1, v2) into ``out``: each node (k1, k2)
-    gets T_k1 f T_k2^T.  ``out`` may be ``values`` itself.
+def _stream_2d(values: np.ndarray, ops: np.ndarray) -> None:
+    """Stream a 2-d state (x1, x2, v1, v2) over itself: each node (k1, k2)
+    gets T_k1 f T_k2^T.
 
     Pass 1 shifts along x2, one x1 row at a time, with the operator of each
     v2 node.  The row is copied with only its velocity axes swapped, to
     (x2, v2, v1); in (v2, x2, v1) order that copy is a stack of x2 x v1
     blocks with unit stride along v1, which the GEMMs read as they are and
-    write to a second buffer of the same layout, swapped back into the row
-    of ``out``; the row is read whole before it is written.  Pass 2 shifts
+    write to a second buffer of the same layout, swapped back into the row;
+    the row is read whole before it is written.  Pass 2 shifts
     along x1, one x2 slab at a time, with the operator of each v1 node.
     The slab is copied to (v1, x1, v2) order, and the GEMMs write the slab
     itself through its (v1, x1, v2) view.  Each pass is split over
@@ -401,20 +402,18 @@ def _stream_2d(values: np.ndarray, ops: np.ndarray, out: np.ndarray) -> None:
         swapped, product = scratch[worker]
         swapped[...] = values[i].transpose(0, 2, 1)
         np.matmul(ops, swapped.transpose(1, 0, 2), out=product.transpose(1, 0, 2))
-        out[i] = product.transpose(0, 2, 1)
+        values[i] = product.transpose(0, 2, 1)
 
     def slab(worker: int, j: int) -> None:
         lines = scratch[worker, 0].reshape(nv1, n1, nv2)
-        lines[...] = out[:, j].transpose(1, 0, 2)
-        np.matmul(ops, lines, out=out[:, j].transpose(1, 0, 2))
+        lines[...] = values[:, j].transpose(1, 0, 2)
+        np.matmul(ops, lines, out=values[:, j].transpose(1, 0, 2))
 
     split_parts(row, n1)
     split_parts(slab, n2)
 
 
-def advect_x(
-    f: PhaseField, dt: float, out: np.ndarray | None = None
-) -> tuple[PhaseField, float]:
+def advect_x(f: PhaseField, dt: float, *, in_place: bool = False) -> tuple[PhaseField, float]:
     """Exact-in-time streaming update f(x, xi) <- f(x - xi dt, xi).
 
     Per x-axis, each velocity slice is shifted by a uniform displacement
@@ -425,22 +424,22 @@ def advect_x(
     circulant matrices (_stream_operators) in two passes of small GEMMs,
     one per x-axis (_stream_2d).  Each slice keeps its mass to roundoff;
     the returned float is the (tiny) mass added by clipping overshoot.
-    A non-finite dt is rejected.  The new values go into ``out`` (see
-    grids.output_array), which may be ``f.values`` itself.
+    A non-finite dt is rejected.  The stream writes over ``f`` with
+    ``in_place``, else over a copy (see grids.state_to_write), and returns
+    the state it wrote.
     """
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
-    values = output_array(out, f.values.shape)
+    f = state_to_write(f, in_place)
     if f.x_grid.dimension == 1:
         n_x = f.x_grid.n_x
         transfer = _stream_transfer(f.x_grid, f.v_grid, dt)
         spectrum = np.fft.rfft(f.values, axis=0)
         spectrum *= transfer[: n_x // 2 + 1]
-        np.fft.irfft(spectrum, n=n_x, axis=0, out=values)
+        np.fft.irfft(spectrum, n=n_x, axis=0, out=f.values)
     else:
-        _stream_2d(f.values, _stream_operators(f.x_grid, f.v_grid, dt), values)
-    clipped = _clip_negative(values, f.x_grid.cell_volume * f.v_grid.weight)
-    return PhaseField(f.x_grid, f.v_grid, values, f.time), clipped
+        _stream_2d(f.values, _stream_operators(f.x_grid, f.v_grid, dt))
+    return f, _clip_negative(f.values, f.x_grid.cell_volume * f.v_grid.weight)
 
 
 @cached_operator
@@ -545,10 +544,9 @@ def _shift_coefficients(
     return coef.reshape(c.size, -1), _stacked_shift_basis(n, h, lo, hi, transposed)
 
 
-def _kick_axis(
-    values: np.ndarray, sigma: np.ndarray, h: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Shift the velocity row of every node of a 1-d state by its own sigma.
+def _kick_axis(values: np.ndarray, sigma: np.ndarray, h: float) -> None:
+    """Shift the velocity row of every node of a 1-d state by its own sigma,
+    over the state itself.
 
     ``values`` is (spatial node, velocity node) and ``sigma`` holds one
     displacement in cells per spatial node.  The row's natural spline is a
@@ -561,7 +559,7 @@ def _kick_axis(
     evaluated once for every row and every offset k = j - c < n - 1, and
     the rows of each distinct c copy the offsets that land in the box to
     their output nodes.  Every other node stays 0, except the edge node.
-    The result goes into ``out`` (new if None), which may be ``values``.
+    Every read of ``values`` comes before the first write.
     """
     n = values.shape[-1]
     curvature_t = _spline_curvature_operator(n, h).T
@@ -578,29 +576,26 @@ def _kick_axis(
     term += w[1] * values[:, 1:]
     term += w[2] * m[:, :-1]
     term += w[3] * m[:, 1:]
-    last = values[:, n - 1].copy()  # the edge node's source, read before out is written
-    if out is None:
-        out = np.empty(values.shape)
-    out.fill(0.0)
+    last = values[:, n - 1].copy()  # the edge node's source, read before the fill
+    values.fill(0.0)
     for s in range(int(np.minimum.reduce(c)), int(np.maximum.reduce(c)) + 1):
         rows = (c == s).nonzero()[0]
         lo, hi = max(s, 0), min(n - 1 + s, n)  # output nodes inside the box
         if lo < hi:
-            out[rows, lo:hi] = term[rows, lo - s : hi - s]
+            values[rows, lo:hi] = term[rows, lo - s : hi - s]
         edge = n - 1 + s
         if 0 <= edge < n:
             rows = rows[on_edge[rows]]
-            out[rows, edge] = last[rows]
-    return out
+            values[rows, edge] = last[rows]
 
 
-def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float, out: np.ndarray) -> None:
+def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float) -> None:
     """Shift the velocity slab of every node of a 2-d state by its own sigma,
-    into ``out``, which may be ``values`` itself.
+    over the state itself.
 
-    ``values`` is (x1, x2, v1, v2) and ``sigma`` (2, x1, x2) in cells.  Each
-    node's kick is out = S1 f S2^T with S_b its shift operator along v_b,
-    v1 first, computed a block of nodes at a time into one output.  Per
+    ``values`` is (x1, x2, v1, v2), C-ordered, and ``sigma`` (2, x1, x2) in
+    cells.  Each node's kick is S1 f S2^T with S_b its shift operator along
+    v_b, v1 first, computed a block of nodes at a time.  Per
     axis, the nodes' coefficients and the stacked basis of their
     whole-cell shifts are built once per kick (_shift_coefficients), so a
     block's operators are one matrix product: its rows of coef times the
@@ -608,17 +603,16 @@ def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float, out: np.ndarray) -
     blocks together hold at most KICK_SCRATCH_BYTES: the fewest blocks
     that fit, evened out, so none holds more nodes than the state.  Each
     worker has two block buffers, one for a block's operators and one for
-    its half-kicked slabs.  A block's first product reads its input into
-    the half-kicked slabs before the second writes its output.
+    its half-kicked slabs.  A block's first product reads its slabs into
+    the half-kicked buffer before the second writes over them.
     """
     n = values.shape[-1]
-    src = np.ascontiguousarray(values).reshape(-1, n, n)
-    dst = out.reshape(src.shape)
+    slabs = values.reshape(-1, n, n)
     coef1, basis1 = _shift_coefficients(sigma[0].reshape(-1), n, h, transposed=False)
     coef2, basis2_t = _shift_coefficients(sigma[1].reshape(-1), n, h, transposed=True)
-    block = max(1, KICK_SCRATCH_BYTES // (kernel_workers(len(src)) * n * n * values.itemsize))
-    blocks = -(-len(src) // block)  # the fewest that fit
-    block = -(-len(src) // blocks)  # nodes in each, evened out
+    block = max(1, KICK_SCRATCH_BYTES // (kernel_workers(len(slabs)) * n * n * values.itemsize))
+    blocks = -(-len(slabs) // block)  # the fewest that fit
+    block = -(-len(slabs) // blocks)  # nodes in each, evened out
     scratch = np.empty((kernel_workers(blocks), 2, block, n, n))
 
     def kick(worker: int, b: int) -> None:
@@ -627,15 +621,15 @@ def _kick_2d(values: np.ndarray, sigma: np.ndarray, h: float, out: np.ndarray) -
         ops, kicked = scratch[worker, :, :k]
         flat = ops.reshape(k, n * n)
         np.matmul(coef1[r], basis1, out=flat)
-        np.matmul(ops, src[r], out=kicked)
+        np.matmul(ops, slabs[r], out=kicked)
         np.matmul(coef2[r], basis2_t, out=flat)
-        np.matmul(kicked, ops, out=dst[r])
+        np.matmul(kicked, ops, out=slabs[r])
 
     split_parts(kick, blocks)
 
 
 def advect_v(
-    f: PhaseField, acceleration: np.ndarray, dt: float, out: np.ndarray | None = None
+    f: PhaseField, acceleration: np.ndarray, dt: float, *, in_place: bool = False
 ) -> tuple[PhaseField, float]:
     """Kick update f(x, xi) <- f(x, xi - a(x) dt), zero outside the box.
 
@@ -645,14 +639,13 @@ def advect_v(
     1-d state evaluates that stencil once for all rows, and the rows of each
     whole-cell shift copy what lands in the box (_kick_axis).  In 2-d each
     node's velocity slab is kicked as two small matrix products with its
-    shift operators (_kick_2d).  The new values go into ``out`` (see
-    grids.output_array), which may be ``f.values`` itself, so a 2-d kick
-    into its input allocates only its scratch, a few times
-    KICK_SCRATCH_BYTES; a 1-d kick also takes a state-sized curvature and
-    stencil.  Any shift is handled;
-    only displacements larger than the whole velocity extent are rejected
-    (that is a configuration error, not a numerical one).  Returns the new
-    field and the mass added by clipping overshoot.
+    shift operators (_kick_2d).  The kick writes over ``f`` with
+    ``in_place``, else over a copy (see grids.state_to_write), so a 2-d kick
+    in place allocates only its scratch, a few times KICK_SCRATCH_BYTES; a
+    1-d kick also takes a state-sized curvature and stencil.  Any shift is
+    handled; only displacements larger than the whole velocity extent are
+    rejected (that is a configuration error, not a numerical one).  Returns
+    the state it wrote and the mass added by clipping overshoot.
     """
     d = f.x_grid.dimension
     acceleration = np.asarray(acceleration, dtype=float)
@@ -669,13 +662,12 @@ def advect_v(
         )
     h_v = f.v_grid.h_v
     sigma = acceleration * (dt / h_v)
-    values = output_array(out, f.values.shape)
+    f = state_to_write(f, in_place)
     if d == 1:
-        _kick_axis(f.values, sigma[0], h_v, values)
+        _kick_axis(f.values, sigma[0], h_v)
     else:
-        _kick_2d(f.values, sigma, h_v, values)
-    clipped = _clip_negative(values, f.x_grid.cell_volume * f.v_grid.weight)
-    return PhaseField(f.x_grid, f.v_grid, values, f.time), clipped
+        _kick_2d(f.values, sigma, h_v)
+    return f, _clip_negative(f.values, f.x_grid.cell_volume * f.v_grid.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -709,30 +701,26 @@ def observe(
     )
 
 
-def _advance(
-    f: PhaseField, params: SimulationParams
-) -> tuple[PhaseField, float, FieldSolveReport | None]:
-    """One step, written over ``f.values``; returns the new state (in that
-    array), the mass added by clipping and the half-step field report.
-
-    The stream, the kick and the BGK update each write into the state's
-    own array.
+def _advance(f: PhaseField, params: SimulationParams) -> tuple[float, FieldSolveReport | None]:
+    """One step, written over ``f``: the stream, the kick and the BGK
+    update each run in place.  Returns the mass added by clipping and the
+    half-step field report.
     """
     dt = params.dt
-    f, clipped = advect_x(f, 0.5 * dt, out=f.values)
+    _, clipped = advect_x(f, 0.5 * dt, in_place=True)
     report = None
     if params.field_mode != "none":
         macro = moments(f)
         potential, report = solve_field(
             f.x_grid, macro.rho, params.epsilon, mode=params.field_mode
         )
-        f, c = advect_v(f, potential.grad, dt, out=f.values)
+        _, c = advect_v(f, potential.grad, dt, in_place=True)
         clipped += c
     if params.collision.kind == "bgk":
-        f = bgk_collide(f, params.collision.tau, dt, out=f.values)
-    f, c = advect_x(f, 0.5 * dt, out=f.values)
+        bgk_collide(f, params.collision.tau, dt, in_place=True)
+    _, c = advect_x(f, 0.5 * dt, in_place=True)
     clipped += c
-    return f, clipped, report
+    return clipped, report
 
 
 # ---------------------------------------------------------------------------
@@ -774,9 +762,9 @@ def run(params: SimulationParams) -> Trajectory:
     ``params.snapshot_stride`` (see Trajectory); a stride of 0 copies no
     state.  Deterministic: identical params give bit-identical trajectories.
 
-    The run overwrites the initial state's array every step (see
-    _advance), so it holds one phase-space state through each step, BGK
-    or not, and no step allocates a state.  ``final`` holds that array.
+    The run writes each step over its initial state (see _advance), so it
+    holds one phase-space state through each step, BGK or not, and no step
+    allocates a state.  ``final`` is that state.
     """
     x_grid = params.x_grid()
     v_grid = params.v_grid()
@@ -808,7 +796,7 @@ def run(params: SimulationParams) -> Trajectory:
 
     n = params.n_steps
     for k in range(1, n + 1):
-        f, clipped, report = _advance(f, params)
+        clipped, report = _advance(f, params)
         f.time = k * params.dt
         observe_and_store(f, clipped, report)
         if stride > 0 and (k == n or k % stride == 0):
